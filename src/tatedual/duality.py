@@ -20,6 +20,9 @@ from .numutil import check_prime
 from .padic import PAdicInt, padic_from_integer
 
 ENUMERATION_GUARD = 10 ** 6
+# A guard message quotes p**level only when it has at most this many bits;
+# past it the value has far more decimal digits than int-to-str allows.
+_SHOWN_MODULUS_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,25 @@ def bidual_eval(gamma: PruferElement, z: PAdicInt) -> CircleElement:
     return CircleElement((z_mod * gamma.fraction) % 1)
 
 
+def _check_enumeration_guard(p: int, level: int) -> None:
+    """Reject p**level > ENUMERATION_GUARD without building the power: it
+    may have millions of digits."""
+    modulus = 1
+    for _ in range(level):
+        modulus *= p
+        if modulus > ENUMERATION_GUARD:
+            break
+    else:
+        return
+    shown = f"{p}^{level}"
+    if level * (p.bit_length() - 1) <= _SHOWN_MODULUS_BITS:
+        try:
+            shown += f" = {p ** level}"
+        except ValueError:  # beyond the interpreter's int-to-str digit limit
+            pass
+    raise DomainError(f"enumeration guard exceeded: {shown} > {ENUMERATION_GUARD}")
+
+
 def perfectness_check(p: int, level: int) -> PerfectnessReport:
     """Brute-force verification that the level-n pairing is perfect.
 
@@ -103,11 +125,8 @@ def perfectness_check(p: int, level: int) -> PerfectnessReport:
     check_prime(p)
     if level < 0:
         raise DomainError(f"level must be nonnegative, got {level}")
+    _check_enumeration_guard(p, level)
     modulus = p ** level
-    if modulus > ENUMERATION_GUARD:
-        raise DomainError(
-            f"enumeration guard exceeded: {p}^{level} = {modulus} > {ENUMERATION_GUARD}"
-        )
     counterexamples = []
     left = True
     right = True

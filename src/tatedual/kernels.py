@@ -1,81 +1,71 @@
-"""Backend selection for the digit kernels.
+"""The residue kernels: ring operations on canonical integers mod m.
 
-The compiled extension is preferred when it imported cleanly and the prime
-fits its fast path; otherwise the pure-Python kernels run.  Both backends
-produce bit-identical results, so selection never changes semantics.  Set
-``TATEDUAL_KERNELS=pure`` (or ``compiled``) to pin a backend, or call
-``set_backend`` at runtime (used by the benchmark and the test suite).
+A residue mod m = p**N is its canonical representative in [0, m); add, neg,
+mul and inv are each one big-integer operation, and `to_int`/`from_int`
+convert to and from the little-endian base-p digit form used for input and
+output.  `bilinear_scan` is the exhaustive check behind the finite-level
+perfectness report.
 """
 
 from __future__ import annotations
 
-import os
 
-from . import _kernels_py as _pure
-
-try:
-    from . import _kernels as _compiled  # type: ignore[attr-defined]
-except ImportError:
-    _compiled = None
-
-_P_LIMIT = getattr(_compiled, "P_LIMIT", 0)
-
-# "auto" prefers the compiled backend where legal; "pure"/"compiled" pin it.
-_mode = "auto"
-
-_env = os.environ.get("TATEDUAL_KERNELS", "").strip().lower()
-if _env in ("pure", "compiled", "auto"):
-    _mode = _env
-
-# conversions are not hot; one implementation serves both backends
-to_int = _pure.to_int
-from_int = _pure.from_int
+def to_int(digits, p):
+    v = 0
+    for d in reversed(digits):
+        v = v * p + d
+    return v
 
 
-def available_backends() -> tuple[str, ...]:
-    return ("pure", "compiled") if _compiled is not None else ("pure",)
+def from_int(value, p, n):
+    value %= p ** n  # canonicalizes negatives too
+    out = []
+    for _ in range(n):
+        value, d = divmod(value, p)
+        out.append(d)
+    return tuple(out)
 
 
-def set_backend(name: str) -> None:
-    if name not in ("auto", "pure", "compiled"):
-        raise ValueError(f"unknown kernel backend {name!r}")
-    if name == "compiled" and _compiled is None:
-        raise RuntimeError("compiled kernels are not available in this install")
-    global _mode
-    _mode = name
+def add(a, b, m):
+    s = a + b
+    return s - m if s >= m else s
 
 
-def active_backend(p: int = 2) -> str:
-    """Name of the backend that would serve an operation at prime p."""
-    return _select(p).BACKEND
+def neg(a, m):
+    return m - a if a else 0
 
 
-def _select(p):
-    if _mode == "pure" or _compiled is None:
-        return _pure
-    if p >= _P_LIMIT:
-        # the compiled column accumulator needs p*p to fit in 128 bits
-        return _pure
-    if _mode == "compiled":
-        return _compiled
-    return _compiled
+def mul(a, b, m):
+    return a * b % m
 
 
-def add(a, b, p):
-    return _select(p).add(a, b, p)
-
-
-def neg(a, p):
-    return _select(p).neg(a, p)
-
-
-def mul(a, b, p):
-    return _select(p).mul(a, b, p)
-
-
-def inv(a, p):
-    return _select(p).inv(a, p)
+def inv(a, m):
+    """The inverse of a mod m; a must be a unit (ValueError otherwise)."""
+    return pow(a, -1, m)
 
 
 def bilinear_scan(p, level):
-    return _select(p).bilinear_scan(p, level)
+    """Exhaustively check the level-n pairing for additivity in both slots.
+
+    Every pair (z, c) in (Z/p^n)^2 is checked for the successor step
+    z -> z+1 (first slot) and c -> c+1 (second slot); by induction that is
+    full bilinearity.  Returns None on success, otherwise the first failing
+    (slot, z, c) triple.
+    """
+    m = p ** level
+    if m == 1:
+        return None
+    for z in range(m):
+        z1 = z + 1
+        if z1 == m:
+            z1 = 0
+        zc = 0  # z*c mod m, maintained incrementally
+        for c in range(m):
+            if (z1 * c) % m != (zc + c) % m:
+                return ("z-additivity", z, c)
+            if (z * (c + 1)) % m != (zc + z) % m:
+                return ("gamma-additivity", z, c)
+            zc += z
+            if zc >= m:
+                zc -= m
+    return None

@@ -1,5 +1,6 @@
-"""Small integer helpers shared across the package: primality by trial
-division, factorization, and extended gcd with combination certificates."""
+"""Small integer helpers shared across the package: primality by
+deterministic Miller-Rabin, factorization by trial division, and extended
+gcd with combination certificates."""
 
 from __future__ import annotations
 
@@ -12,6 +13,11 @@ from .errors import DomainError
 _VERIFIED_PRIMES: set[int] = {2, 3, 5, 7, 11, 13}
 
 MAX_PRIME_BITS = 63  # p must fit in a machine word
+
+# Strong-probable-prime tests to the first 12 prime bases decide primality
+# exactly below _MR_EXACT_BELOW (Sorenson & Webster 2015), far past 2**64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318_665_857_834_031_151_167_461
 
 
 def smallest_factor(n: int) -> int:
@@ -31,6 +37,28 @@ def smallest_factor(n: int) -> int:
     return n
 
 
+def _miller_rabin(n: int) -> bool:
+    """Exact primality for 2 <= n < _MR_EXACT_BELOW."""
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def check_prime(p: int) -> None:
     """Reject p unless it is a prime fitting in a machine word."""
     if not isinstance(p, int) or isinstance(p, bool):
@@ -41,16 +69,20 @@ def check_prime(p: int) -> None:
         raise DomainError(f"p={p} is not prime (primes start at 2)")
     if p.bit_length() > MAX_PRIME_BITS:
         raise DomainError(f"p={p} does not fit in a machine word")
-    f = smallest_factor(p)
-    if f != p:
-        raise DomainError(f"p={p} is not prime (divisible by {f})")
+    if not _miller_rabin(p):
+        # trial division only names the divisor for the message
+        raise DomainError(f"p={p} is not prime (divisible by {smallest_factor(p)})")
     _VERIFIED_PRIMES.add(p)
 
 
 def is_prime(n: int) -> bool:
     if n in _VERIFIED_PRIMES:
         return True
-    return n >= 2 and smallest_factor(n) == n
+    if n < 2:
+        return False
+    if n < _MR_EXACT_BELOW:
+        return _miller_rabin(n)
+    return smallest_factor(n) == n
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -1,8 +1,9 @@
 """Fixed-precision p-adic integers.
 
-A value is a residue mod p**N stored as N base-p digits, least significant
-first, standing for a p-adic integer known to precision N.  All operations
-are exact mod p**N and never extend precision on their own.
+A value is a residue mod p**N, stored as its canonical integer in
+[0, p**N) and standing for a p-adic integer known to precision N; its
+base-p digits, least significant first, are derived when asked for.  All
+operations are exact mod p**N and never extend precision on their own.
 """
 
 from __future__ import annotations
@@ -33,47 +34,75 @@ class _AtLeastPrecision:
 AT_LEAST_PRECISION = _AtLeastPrecision()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PAdicInt:
+    """A p-adic integer known mod p**N, held as its canonical integer
+    `value` in [0, p**N); the N base-p digits are derived on demand.
+
+    `PAdicInt(p, digits)` builds one from its little-endian digits and
+    validates each of them; ring operations build their results from
+    already reduced integers through `_residue`.
+    """
+
     p: int
-    digits: tuple[int, ...]
+    value: int
+    precision: int
+
+    def __init__(self, p: int, digits) -> None:
+        digits = tuple(digits)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "precision", len(digits))
+        self.__post_init__()
+        if not digits:
+            raise DomainError("precision must be at least 1")
+        for i, d in enumerate(digits):
+            if not isinstance(d, int) or isinstance(d, bool) or not 0 <= d < p:
+                raise DomainError(f"digit c_{i}={d!r} out of range [0, {p - 1}]")
+        object.__setattr__(self, "value", kernels.to_int(digits, p))
+        self.__dict__["digits"] = digits  # seeds the cached property
+
+    @classmethod
+    def _residue(cls, p: int, value: int, precision: int) -> PAdicInt:
+        """The residue with canonical representative `value`, which the
+        caller has already reduced into [0, p**precision)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "precision", precision)
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         check_prime(self.p)
-        if not isinstance(self.digits, tuple):
-            object.__setattr__(self, "digits", tuple(self.digits))
-        if len(self.digits) < 1:
-            raise DomainError("precision must be at least 1")
-        for i, d in enumerate(self.digits):
-            if not isinstance(d, int) or isinstance(d, bool) or not 0 <= d < self.p:
-                raise DomainError(
-                    f"digit c_{i}={d!r} out of range [0, {self.p - 1}]"
-                )
-
-    @property
-    def precision(self) -> int:
-        return len(self.digits)
 
     @cached_property
-    def value(self) -> int:
-        """The canonical integer representative in [0, p**N)."""
-        return kernels.to_int(self.digits, self.p)
+    def digits(self) -> tuple[int, ...]:
+        """The N base-p digits c_0..c_{N-1}, least significant first."""
+        return kernels.from_int(self.value, self.p, self.precision)
+
+    @property
+    def _modulus(self) -> int:
+        return self.p ** self.precision
 
     def is_zero(self) -> bool:
-        return not any(self.digits)
+        return self.value == 0
 
     def valuation(self):
         """Index of the first nonzero digit, or AT_LEAST_PRECISION if none."""
-        for i, d in enumerate(self.digits):
-            if d:
-                return i
-        return AT_LEAST_PRECISION
+        x = self.value
+        if x == 0:
+            return AT_LEAST_PRECISION
+        v = 0
+        while x % self.p == 0:
+            x //= self.p
+            v += 1
+        return v
 
     def truncate(self, n: int) -> PAdicInt:
         """The same value known only mod p**n, for 1 <= n <= N."""
         if not 1 <= n <= self.precision:
             raise DomainError(f"cannot truncate precision {self.precision} to {n}")
-        return PAdicInt(self.p, self.digits[:n])
+        return self._residue(self.p, self.value % self.p ** n, n)
 
     def _check_compatible(self, other: PAdicInt) -> None:
         if not isinstance(other, PAdicInt):
@@ -86,25 +115,27 @@ class PAdicInt:
 
     def __add__(self, other: PAdicInt) -> PAdicInt:
         self._check_compatible(other)
-        return PAdicInt(self.p, kernels.add(self.digits, other.digits, self.p))
+        value = kernels.add(self.value, other.value, self._modulus)
+        return self._residue(self.p, value, self.precision)
 
     def __neg__(self) -> PAdicInt:
-        return PAdicInt(self.p, kernels.neg(self.digits, self.p))
+        return self._residue(self.p, kernels.neg(self.value, self._modulus), self.precision)
 
     def __sub__(self, other: PAdicInt) -> PAdicInt:
         return self + (-other)
 
     def __mul__(self, other: PAdicInt) -> PAdicInt:
         self._check_compatible(other)
-        return PAdicInt(self.p, kernels.mul(self.digits, other.digits, self.p))
+        value = kernels.mul(self.value, other.value, self._modulus)
+        return self._residue(self.p, value, self.precision)
 
     def inverse(self) -> PAdicInt:
         """The unique z with self*z = 1 mod p**N; defined for units only."""
-        if self.digits[0] == 0:
+        if self.value % self.p == 0:
             raise DomainError(
                 f"cannot invert a non-unit: valuation is {self.valuation()!r}"
             )
-        return PAdicInt(self.p, kernels.inv(self.digits, self.p))
+        return self._residue(self.p, kernels.inv(self.value, self._modulus), self.precision)
 
     def __str__(self):
         return f"{self.value} mod {self.p}^{self.precision}"
@@ -147,7 +178,9 @@ def padic_from_integer(m: int, p: int, n: int) -> PAdicInt:
     check_prime(p)
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"precision N={n!r} rejected; need an integer N >= 1")
-    return PAdicInt(p, kernels.from_int(m, p, n))
+    if not isinstance(m, int):
+        raise DomainError(f"expected an integer to reduce mod {p}^{n}, got {m!r}")
+    return PAdicInt._residue(p, m % p ** n, n)
 
 
 def padic_zero(p: int, n: int) -> PAdicInt:
@@ -188,12 +221,10 @@ def valuation(x: PAdicInt):
 def canonical_sequence(x: PAdicInt) -> CanonicalSequence:
     """The residues a_n = x mod p**n for n = 1..N."""
     entries = []
-    acc = 0
     pw = 1
-    for d in x.digits:
-        acc += d * pw
+    for _ in range(x.precision):
         pw *= x.p
-        entries.append(acc)
+        entries.append(x.value % pw)
     return CanonicalSequence(x.p, tuple(entries))
 
 

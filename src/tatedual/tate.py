@@ -3,8 +3,8 @@
 The defining series sum n^3 * q^n / (1 - q^n) style terms; the n-th term
 has valuation at least n*v for v = valuation(q), because 1 - q^n is a unit.
 Truncating after the last n with (n+1)*v < N therefore loses nothing mod
-p**N, and every term is evaluated with unit inversion in the digit kernels
-rather than rational arithmetic.
+p**N, and every term is evaluated with unit inversion in the residue ring
+mod p**N rather than rational arithmetic.
 """
 
 from __future__ import annotations

@@ -1,8 +1,5 @@
 import random
 
-import pytest
-
-from tatedual import kernels
 from tatedual.padic import PAdicInt
 
 SMALL_PRIMES = (2, 3, 5, 7)
@@ -17,10 +14,3 @@ def random_q(rng: random.Random, p: int, n: int, min_valuation: int = 0) -> PAdi
     if not any(digits):
         digits[-1] = rng.randrange(1, p)
     return PAdicInt(p, tuple(digits))
-
-
-@pytest.fixture(params=kernels.available_backends())
-def backend(request):
-    kernels.set_backend(request.param)
-    yield request.param
-    kernels.set_backend("auto")

@@ -220,3 +220,19 @@ def test_error_envelope_in_json_mode(capsys):
 
 def test_help_exits_zero(capsys):
     assert invoke(capsys, "--help")[0] == 0
+
+
+def test_dual_check_huge_level_is_a_guard_error(capsys):
+    # 2^100000000 has far more digits than int-to-str allows; the guard
+    # must reject it before building or printing the power
+    code, out, err = invoke(
+        capsys, "dual", "check", "--p", "2", "--level", "100000000", "--json"
+    )
+    assert code == 3
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["status"] == "error"
+    assert doc["result"] is None
+    assert doc["diagnostics"] == ["enumeration guard exceeded: 2^100000000 > 1000000"]

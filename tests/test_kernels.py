@@ -1,5 +1,5 @@
-"""Digit-kernel tests: each backend against a big-integer oracle, and the
-backends against each other."""
+"""Residue-kernel tests: the ring operations against a big-integer oracle,
+the digit/integer round trip, and the exhaustive pairing scan."""
 
 import random
 
@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tatedual import _kernels_py as pure
 from tatedual import kernels
+from tatedual.errors import DomainError
 from tatedual.numutil import smallest_factor
+from tatedual.padic import PAdicInt, arithmetic, padic_from_integer
 
 PRIMES = (2, 3, 5, 7, 11, 97)
 
@@ -30,73 +31,80 @@ def test_from_int_to_int_roundtrip(m, p, n):
     assert kernels.to_int(digits, p) == m % p ** n
 
 
-def test_ops_match_big_integer_oracle(backend):
+def test_ops_match_big_integer_oracle():
     rng = random.Random(101)
     for _ in range(300):
         p = rng.choice(PRIMES)
         n = rng.randrange(1, 20)
         mod = p ** n
-        a = rand_digits(rng, p, n)
-        b = rand_digits(rng, p, n)
-        va, vb = kernels.to_int(a, p), kernels.to_int(b, p)
-        assert kernels.to_int(kernels.add(a, b, p), p) == (va + vb) % mod
-        assert kernels.to_int(kernels.neg(a, p), p) == (-va) % mod
-        assert kernels.to_int(kernels.mul(a, b, p), p) == (va * vb) % mod
+        a = PAdicInt(p, rand_digits(rng, p, n))
+        b = PAdicInt(p, rand_digits(rng, p, n))
+        va, vb = kernels.to_int(a.digits, p), kernels.to_int(b.digits, p)
+        assert (a + b).value == (va + vb) % mod
+        assert (-a).value == (-va) % mod
+        assert (a * b).value == (va * vb) % mod
+        assert (a * b).digits == kernels.from_int(va * vb, p, n)
 
 
-def test_inverse_of_units(backend):
+def test_inverse_of_units():
     rng = random.Random(202)
     for _ in range(150):
         p = rng.choice(PRIMES)
         n = rng.randrange(1, 20)
-        a = rand_digits(rng, p, n)
-        a = (rng.randrange(1, p),) + a[1:]  # force a unit
-        z = kernels.inv(a, p)
-        assert kernels.to_int(kernels.mul(a, z, p), p) == 1
+        digits = rand_digits(rng, p, n)
+        a = PAdicInt(p, (rng.randrange(1, p),) + digits[1:])  # force a unit
+        z = a.inverse()
+        assert (a * z).value == 1
+        assert a.value * z.value % p ** n == 1
 
 
-def test_inverse_rejects_non_units(backend):
-    with pytest.raises(ZeroDivisionError):
-        kernels.inv((0, 1, 1), 2)
-
-
-def test_backends_agree_bit_for_bit():
-    if "compiled" not in kernels.available_backends():
-        pytest.skip("compiled kernels not built")
-    from tatedual import _kernels as compiled
-
-    rng = random.Random(303)
-    for _ in range(200):
-        p = rng.choice(PRIMES)
-        n = rng.randrange(1, 40)
-        a = rand_digits(rng, p, n)
-        b = rand_digits(rng, p, n)
-        assert pure.add(a, b, p) == compiled.add(a, b, p)
-        assert pure.neg(a, p) == compiled.neg(a, p)
-        assert pure.mul(a, b, p) == compiled.mul(a, b, p)
-        unit = (rng.randrange(1, p),) + a[1:]
-        assert pure.inv(unit, p) == compiled.inv(unit, p)
+def test_inverse_rejects_non_units():
+    with pytest.raises(DomainError, match="non-unit"):
+        PAdicInt(2, (0, 1, 1)).inverse()
 
 
 def test_large_prime_falls_back_transparently():
-    # first prime past the compiled fast-path limit
+    # the first prime above 2**31
     p = 2 ** 31
     while smallest_factor(p) != p:
         p += 1
-    a = kernels.from_int(3 * p + 5, p, 3)
-    b = kernels.from_int(p - 1, p, 3)
+    a = padic_from_integer(3 * p + 5, p, 3)
+    b = padic_from_integer(p - 1, p, 3)
     mod = p ** 3
-    assert kernels.to_int(kernels.mul(a, b, p), p) == ((3 * p + 5) * (p - 1)) % mod
-    assert kernels.to_int(kernels.inv(b, p), p) == pow(p - 1, -1, mod)
-    assert kernels.active_backend(p) == "pure"
+    assert (a * b).value == ((3 * p + 5) * (p - 1)) % mod
+    assert b.inverse().value == pow(p - 1, -1, mod)
+    assert (a * b).digits == kernels.from_int((3 * p + 5) * (p - 1), p, 3)
+
+
+@st.composite
+def residue_pairs(draw):
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(min_value=1, max_value=24))
+    digit = st.integers(min_value=0, max_value=p - 1)
+    x = draw(st.lists(digit, min_size=n, max_size=n).map(tuple))
+    y = draw(st.lists(digit, min_size=n, max_size=n).map(tuple))
+    return p, x, y
+
+
+@given(residue_pairs())
+def test_digits_roundtrip_through_every_result(case):
+    p, x, y = case
+    a, b = PAdicInt(p, x), PAdicInt(p, y)
+    assert a.digits == x and b.digits == y
+    results = [a + b, -a, a - b, a * b, a.truncate(1)]
+    if x[0]:
+        results.append(arithmetic("invert", a))
+    for r in results:
+        assert 0 <= r.value < r.p ** r.precision
+        assert PAdicInt(r.p, r.digits) == r
 
 
 @settings(deadline=None)
 @given(p=st.sampled_from((2, 3, 5)), level=st.integers(min_value=0, max_value=3))
 def test_bilinear_scan_passes_small_levels(p, level):
-    assert pure.bilinear_scan(p, level) is None
+    assert kernels.bilinear_scan(p, level) is None
 
 
-def test_bilinear_scan_backends_agree(backend):
+def test_bilinear_scan_passes_listed_levels():
     for p, level in [(2, 5), (3, 3), (5, 2), (7, 1), (2, 0)]:
         assert kernels.bilinear_scan(p, level) is None
