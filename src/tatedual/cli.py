@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -92,17 +93,47 @@ def _parse_q(ns, flag: str = "q") -> padic.PAdicInt:
     return padic.padic_from_integer(value, ns.p, ns.prec)
 
 
+def _decimal_digits(n: int) -> int:
+    """The number of decimal digits of n >= 1, found without text conversion."""
+    k = int(math.log10(n))  # off by at most one next to a power of ten
+    return k + 1 + (n >= 10 ** (k + 1)) - (n < 10 ** k)
+
+
+def _printable(*numbers: int) -> None:
+    """Refuse output integers longer than Python converts to text.
+
+    The decision is made from sizes before any conversion: a number of at
+    most 3*limit bits is below 8**limit < 10**limit and always fits.
+    """
+    # the limit exists from Python 3.10.7 on; before it nothing is refused
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    for n in map(abs, numbers):
+        if limit and n.bit_length() > 3 * limit and n >= 10 ** limit:
+            raise DomainError(
+                f"an output integer has {_decimal_digits(n)} decimal digits, over "
+                f"the int-to-str limit of {limit} (sys.get_int_max_str_digits())"
+            )
+
+
+def _fraction(x: Fraction) -> str:
+    _printable(x.numerator, x.denominator)
+    return str(x)
+
+
 def _residue(x: padic.PAdicInt) -> str:
+    # also bounds every a_n <= x.value that a command prints next to it
+    _printable(x.value)
     return str(x)
 
 
 def _cmd_padic_canon(ns):
     q = _parse_q(ns)
+    q_text = _residue(q)
     seq = padic.canonical_sequence(q)
     return {
         "p": q.p,
         "precision": q.precision,
-        "q": _residue(q),
+        "q": q_text,
         "entries": list(seq.entries),
     }
 
@@ -120,12 +151,12 @@ def _cmd_padic_arith(ns):
 
 def _cmd_gamma_gens(ns):
     q = _parse_q(ns)
-    return {"generators": [str(g) for g in gamma.gamma_generators(q)]}
+    return {"generators": [_fraction(g) for g in gamma.gamma_generators(q)]}
 
 
 def _cmd_gamma_group(ns):
     q = _parse_q(ns)
-    return {"generator": str(gamma.gamma_group(q).generator)}
+    return {"generator": _fraction(gamma.gamma_group(q).generator)}
 
 
 def _cmd_gamma_prufer_check(ns):
@@ -154,7 +185,7 @@ def _cmd_gamma_density(ns):
     target = _parse_fraction(ns.target, "--target")
     epsilon = _parse_fraction(ns.epsilon, "--epsilon")
     w = gamma.density_witness(q, target, epsilon)
-    return {"witness": str(w.witness), "distance": str(w.distance)}
+    return {"witness": _fraction(w.witness), "distance": _fraction(w.distance)}
 
 
 def _cmd_gamma_limit(ns):
@@ -181,6 +212,7 @@ def _cmd_uhf_stable_iso(ns):
     decision = supernatural.stably_isomorphic(n, n2)
     doc = {"equal": decision.equal}
     if decision.witness is not None:
+        _printable(*decision.witness)
         doc["witness"] = {"r": decision.witness[0], "s": decision.witness[1]}
     return doc
 
@@ -215,7 +247,8 @@ def _cmd_dual_pair(ns):
     z = _parse_q(ns, "z")
     g = gamma.parse_prufer(ns.gamma, ns.p)
     value = duality.pair(z, g)
-    return {"z": _residue(z), "gamma": str(g), "value": str(value)}
+    _printable(g.numerator)
+    return {"z": _residue(z), "gamma": str(g), "value": _fraction(value.value)}
 
 
 def _cmd_dual_check(ns):

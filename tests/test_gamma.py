@@ -1,16 +1,24 @@
 """Gamma generators, cyclic hulls, density, the torsion images in Q/Z, and
-the quasicyclic relation chain."""
+the quasicyclic relation chain; the closed forms against the brute-force
+forms they replaced."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import SMALL_PRIMES, random_q
 from tatedual.errors import DomainError, PrecisionError
 from tatedual.gamma import (
+    ContainsOneReport,
     CyclicSubgroupQ,
     PruferElement,
+    PruferRelation,
+    PruferRelationsReport,
+    SupernaturalLimit,
     contains,
     contains_one_report,
     cyclic_hull,
@@ -24,8 +32,9 @@ from tatedual.gamma import (
     prufer_relations_check,
     supernatural_limit,
 )
-from tatedual.padic import padic_from_integer
-from tatedual.supernatural import INF
+from tatedual.numutil import prime_to_part
+from tatedual.padic import canonical_sequence, padic_from_integer
+from tatedual.supernatural import INF, SupernaturalNumber
 
 
 def F(*args):
@@ -75,6 +84,7 @@ def test_hull_certificate_on_random_sets():
             for _ in range(rng.randint(1, 6))
         ]
         group, coeffs = hull_with_coefficients(gens)
+        assert cyclic_hull(gens) == group
         g = group.generator
         assert sum(c * x for c, x in zip(coeffs, gens)) == g
         for x in gens:
@@ -304,3 +314,100 @@ def test_supernatural_limit_rejections():
         supernatural_limit(padic_from_integer(0, 3, 4))
     with pytest.raises(DomainError, match="valuation"):
         supernatural_limit(padic_from_integer(2, 3, 4))
+
+
+# --- closed forms against brute force --------------------------------------
+#
+# The oracles below rebuild each object from Fractions the way the package
+# did before it read everything off the running gcd G_n = gcd(p*G_{n-1}, a_n)
+# and the digits of q.  Their hulls come from the certified
+# hull_with_coefficients, so they share no code with cyclic_hull.
+
+def oracle_hull(gens):
+    return hull_with_coefficients(gens)[0]
+
+
+def oracle_gamma_group(q):
+    return oracle_hull(gamma_generators(q))
+
+
+def oracle_supernatural_limit(q):
+    contents = []
+    for n in range(1, q.precision + 1):
+        g = oracle_hull(gamma_generators(q.truncate(n))).generator
+        contents.append(g.numerator if g else None)
+    scale = contents[-1]
+    window = contents[-3:]
+    return SupernaturalLimit(
+        sn=SupernaturalNumber({q.p: INF}),
+        scale=scale,
+        stabilized=len(window) == 3 and all(c == scale for c in window),
+    )
+
+
+def oracle_contains_one_report(q):
+    nonzero = [a for a in canonical_sequence(q).entries if a]
+    content = prime_to_part(math.gcd(*nonzero), q.p)
+    return ContainsOneReport(
+        contains_one=contains(oracle_gamma_group(q), Fraction(1)), content=content
+    )
+
+
+def oracle_prufer_relations(q):
+    v = q.valuation()
+    gens = gamma_generators(q)
+    first = prufer_image(q.p * gens[0], q.p)
+    relations = []
+    for n in range(1, len(gens)):
+        diff = q.p * gens[n] - gens[n - 1]
+        holds = diff.denominator == 1
+        relations.append(
+            PruferRelation(n=n, holds=holds, discrepancy=int(diff) if holds else 0)
+        )
+    levels = tuple(prufer_image(g, q.p).level for g in gens)
+    tail = levels[v:]
+    unbounded = all(b > a for a, b in zip(tail, tail[1:])) and (
+        not tail or tail[-1] == q.precision - v
+    )
+    return PruferRelationsReport(
+        p_gamma1_zero=(first.level == 0),
+        relations=tuple(relations),
+        levels=levels,
+        unbounded_order=unbounded,
+    )
+
+
+@st.composite
+def residue_q(draw, min_v=1, allow_zero=False):
+    """q = p**v * u mod p**N with min_v <= v < N and a unit u of 1..N digits;
+    with allow_zero, v = N (so q = 0) may be drawn too."""
+    p = draw(st.sampled_from(SMALL_PRIMES + (1099511627689,)))  # a 40-bit prime
+    n = draw(st.integers(2, 40))
+    v = draw(st.integers(min_v, n if allow_zero else n - 1))
+    k = draw(st.integers(1, n))
+    digits = [draw(st.integers(1, p - 1))]
+    digits += [draw(st.integers(0, p - 1)) for _ in range(k - 1)]
+    u = sum(d * p ** i for i, d in enumerate(digits))
+    return padic_from_integer(p ** v * u, p, n)
+
+
+@settings(deadline=None)
+@given(residue_q())
+def test_closed_forms_match_brute_force(q):
+    assert gamma_group(q) == oracle_gamma_group(q)
+    assert supernatural_limit(q) == oracle_supernatural_limit(q)
+    assert contains_one_report(q) == oracle_contains_one_report(q)
+    assert prufer_relations_check(q) == oracle_prufer_relations(q)
+
+
+@settings(deadline=None)
+@given(residue_q(min_v=0, allow_zero=True))
+@example(padic_from_integer(0, 2, 7))
+@example(padic_from_integer(0, 1099511627689, 3))
+def test_group_and_content_match_brute_force_on_units_and_zero(q):
+    assert gamma_group(q) == oracle_gamma_group(q)
+    if q.is_zero():
+        with pytest.raises(DomainError, match="trivial"):
+            contains_one_report(q)
+    else:
+        assert contains_one_report(q) == oracle_contains_one_report(q)

@@ -1,10 +1,27 @@
-"""Primality: deterministic Miller-Rabin against trial division, and the
-composite message that names the smallest divisor."""
+"""Primality: deterministic Miller-Rabin against trial division, the
+composite message that names the smallest divisor, and rho factoring
+against trial division."""
+
+import random
+from math import isqrt
 
 import pytest
 
 from tatedual.errors import DomainError
-from tatedual.numutil import check_prime, is_prime, smallest_factor
+from tatedual.numutil import (
+    check_prime,
+    factorize,
+    is_prime,
+    smallest_factor,
+)
+
+
+def trial_division(n):
+    """The smallest prime factor of n >= 2 by plain trial division."""
+    for f in range(2, isqrt(n) + 1):
+        if n % f == 0:
+            return f
+    return n
 
 
 def test_largest_63_bit_prime_accepted():
@@ -33,3 +50,21 @@ def test_strong_pseudoprimes_rejected_with_smallest_factor(n, factor):
 def test_is_prime_agrees_with_trial_division_below_2e5():
     for n in range(2 * 10 ** 5):
         assert is_prime(n) == (n >= 2 and smallest_factor(n) == n), n
+
+
+def test_rho_agrees_with_trial_division_on_word_sized_composites():
+    rng = random.Random(53)
+    primes = [n for n in range(1025, 40000) if is_prime(n)]
+    cases = [4611685975477714963, 2147483647 ** 2, 1031 ** 3, 16777259 * 33554467]
+    for _ in range(200):
+        cases.append(rng.choice(primes) * rng.choice(primes) * rng.randrange(1, 1000))
+    for n in cases:
+        factors = factorize(n)
+        prod = 1
+        for f, e in factors.items():
+            assert is_prime(f)
+            prod *= f ** e
+        assert prod == n
+        assert smallest_factor(n) == min(factors)
+        if n < 10 ** 12:
+            assert smallest_factor(n) == trial_division(n), n
