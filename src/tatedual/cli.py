@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import duality, gamma, padic, supernatural, tate
-from .errors import DomainError
+from .errors import DomainError, digits_past_limit, int_str_limit
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -93,25 +92,13 @@ def _parse_q(ns, flag: str = "q") -> padic.PAdicInt:
     return padic.padic_from_integer(value, ns.p, ns.prec)
 
 
-def _decimal_digits(n: int) -> int:
-    """The number of decimal digits of n >= 1, found without text conversion."""
-    k = int(math.log10(n))  # off by at most one next to a power of ten
-    return k + 1 + (n >= 10 ** (k + 1)) - (n < 10 ** k)
-
-
 def _printable(*numbers: int) -> None:
-    """Refuse output integers longer than Python converts to text.
-
-    The decision is made from sizes before any conversion: a number of at
-    most 3*limit bits is below 8**limit < 10**limit and always fits.
-    """
-    # the limit exists from Python 3.10.7 on; before it nothing is refused
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    for n in map(abs, numbers):
-        if limit and n.bit_length() > 3 * limit and n >= 10 ** limit:
+    """Refuse output integers longer than Python converts to text."""
+    for n in numbers:
+        if digits := digits_past_limit(n):
             raise DomainError(
-                f"an output integer has {_decimal_digits(n)} decimal digits, over "
-                f"the int-to-str limit of {limit} (sys.get_int_max_str_digits())"
+                f"an output integer has {digits} decimal digits, over "
+                f"the int-to-str limit of {int_str_limit()} (sys.get_int_max_str_digits())"
             )
 
 

@@ -14,15 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, digits_past_limit, int_str_limit
 from .gamma import PruferElement, prufer_image
 from .numutil import check_prime
 from .padic import PAdicInt, padic_from_integer
 
 ENUMERATION_GUARD = 10 ** 6
-# A guard message quotes p**level only when it has at most this many bits;
-# past it the value has far more decimal digits than int-to-str allows.
-_SHOWN_MODULUS_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -106,11 +103,10 @@ def _check_enumeration_guard(p: int, level: int) -> None:
     else:
         return
     shown = f"{p}^{level}"
-    if level * (p.bit_length() - 1) <= _SHOWN_MODULUS_BITS:
-        try:
-            shown += f" = {p ** level}"
-        except ValueError:  # beyond the interpreter's int-to-str digit limit
-            pass
+    # quoted when str() takes it; a power past 4*limit bits is past 10**limit, never built
+    if level * (p.bit_length() - 1) < 4 * int_str_limit():
+        if not digits_past_limit(modulus := p ** level):
+            shown += f" = {modulus}"
     raise DomainError(f"enumeration guard exceeded: {shown} > {ENUMERATION_GUARD}")
 
 

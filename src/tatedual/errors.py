@@ -1,3 +1,8 @@
+import math
+import sys
+from fractions import Fraction
+
+
 class DomainError(ValueError):
     """An operation was called outside its domain (bad input or violated precondition)."""
 
@@ -12,3 +17,31 @@ class PrecisionError(DomainError):
     def __init__(self, message, required_precision=None):
         super().__init__(message)
         self.required_precision = required_precision
+
+
+def int_str_limit() -> int:
+    """The most decimal digits str() gives an int (Python 3.10.7 on), 0 for no limit."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def digits_past_limit(n: int) -> int:
+    """The decimal digit count of n when str(n) would pass the int-to-str
+    limit, else 0.  The decision is made from sizes before any conversion:
+    a number of at most 3*limit bits is below 8**limit < 10**limit."""
+    limit = int_str_limit()
+    n = abs(n)
+    if not limit or n.bit_length() <= 3 * limit or n < 10 ** limit:
+        return 0
+    k = int(math.log10(n))  # off by at most one next to a power of ten
+    return k + 1 + (n >= 10 ** (k + 1)) - (n < 10 ** k)
+
+
+def shown(x) -> str:
+    """An int or Fraction as message text; a numerator or denominator too
+    long for str() is named by its decimal digit count, as `<D digits>`."""
+    x = Fraction(x)
+    parts = (x.numerator,) if x.denominator == 1 else (x.numerator, x.denominator)
+    return "/".join(
+        f"{'-' * (n < 0)}<{d} digits>" if (d := digits_past_limit(n)) else str(n)
+        for n in parts
+    )

@@ -26,8 +26,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, PrecisionError
-from .numutil import check_prime, gcd_with_coefficients, prime_to_part
+from .errors import DomainError, PrecisionError, shown
+from .numutil import check_prime, gcd_with_coefficients, prime_to_part, split_power
 from .padic import PAdicInt, canonical_sequence
 from .supernatural import INF, SupernaturalNumber
 
@@ -218,12 +218,16 @@ def contains_one_report(q: PAdicInt) -> ContainsOneReport:
 
 
 def _required_precision(q: PAdicInt, content: int, epsilon: Fraction) -> int:
-    # content can only shrink at higher precision, so this is an upper bound
-    v = q.valuation()
-    n = v + 1
-    while Fraction(content, q.p ** (n - v)) > epsilon:
-        n += 1
-    return n
+    """v + k for the least k >= 1 with content / p**k <= epsilon = a/b; an
+    upper bound, because content can only shrink at higher precision."""
+    p, a, b = q.p, epsilon.numerator, epsilon.denominator
+    # k read off the sizes is off by at most one; exact comparisons settle it
+    k = max(1, math.ceil((math.log(content) + math.log(b) - math.log(a)) / math.log(p)))
+    if k > 1 and p ** (k - 1) * a >= content * b:
+        k -= 1
+    elif p ** k * a < content * b:
+        k += 1
+    return q.valuation() + k
 
 
 def density_witness(q: PAdicInt, target, epsilon) -> DensityWitness:
@@ -232,13 +236,13 @@ def density_witness(q: PAdicInt, target, epsilon) -> DensityWitness:
     target = Fraction(target)
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+        raise DomainError(f"epsilon must be positive, got {shown(epsilon)}")
     _require_nonzero(q)
     g = gamma_group(q).generator
     if g > epsilon:
         needed = _required_precision(q, g.numerator, epsilon)
         raise PrecisionError(
-            f"hull generator {g} exceeds epsilon {epsilon}; "
+            f"hull generator {shown(g)} exceeds epsilon {shown(epsilon)}; "
             f"precision about N={needed} would suffice",
             required_precision=needed,
         )
@@ -256,28 +260,16 @@ def prufer_image(gamma, p: int) -> PruferElement:
     check_prime(p)
     gamma = Fraction(gamma)
     den = gamma.denominator
-    level = 0
-    while den % p == 0:
-        den //= p
-        level += 1
-    if den != 1:
-        raise DomainError(
-            f"denominator of {gamma} has a prime factor {den} other than {p}"
-        )
-    reduced = gamma % 1
-    return PruferElement(
-        p=p,
-        level=_p_exponent(reduced.denominator, p),
-        numerator=reduced.numerator,
-    )
-
-
-def _p_exponent(n: int, p: int) -> int:
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
+    # a power of p is recognised by one comparison with the power of its size;
+    # a foreign factor needs the split; reducing mod 1 keeps the denominator
+    level = round(math.log(den, p))
+    if p ** level != den:
+        level, rest = split_power(den, p)
+        if rest != 1:
+            raise DomainError(
+                f"denominator of {shown(gamma)} has a prime factor {shown(rest)} other than {p}"
+            )
+    return PruferElement(p=p, level=level, numerator=(gamma % 1).numerator)
 
 
 def prufer_add(a: PruferElement, b: PruferElement) -> PruferElement:

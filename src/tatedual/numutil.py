@@ -127,28 +127,32 @@ def factorize(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     while n > 1:
         f = smallest_factor(n)
-        e = 0
-        while n % f == 0:
-            # divide out f, f**2, f**4, ... while they go in: O(log e)
-            # divisions per pass instead of e
-            fk, k = f, 1
-            while n % fk == 0:
-                n //= fk
-                e += k
-                fk *= fk
-                k *= 2
-        out[f] = e
+        out[f], n = split_power(n, f)
     return out
+
+
+def split_power(n: int, p: int) -> tuple[int, int]:
+    """(e, m) with n = p**e * m and p not dividing m, for n >= 1.
+
+    Each pass divides out p, p**2, p**4, ... while they go in, so e costs
+    O(log e) divisions per pass instead of e."""
+    e = 0
+    while n % p == 0:
+        pk, k = p, 1
+        while True:
+            quotient, rest = divmod(n, pk)
+            if rest:
+                break
+            n, e = quotient, e + k
+            pk, k = pk * pk, 2 * k
+    return e, n
 
 
 def prime_to_part(n: int, p: int) -> int:
     """The p-free part of n: divide out every factor of p."""
     if n == 0:
         return 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-    return n
+    return split_power(abs(n), p)[1]
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

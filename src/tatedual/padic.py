@@ -14,7 +14,7 @@ from functools import cached_property
 
 from . import kernels
 from .errors import DomainError
-from .numutil import check_prime
+from .numutil import check_prime, split_power
 
 
 class _AtLeastPrecision:
@@ -89,14 +89,9 @@ class PAdicInt:
 
     def valuation(self):
         """Index of the first nonzero digit, or AT_LEAST_PRECISION if none."""
-        x = self.value
-        if x == 0:
+        if self.value == 0:
             return AT_LEAST_PRECISION
-        v = 0
-        while x % self.p == 0:
-            x //= self.p
-            v += 1
-        return v
+        return split_power(self.value, self.p)[0]
 
     def truncate(self, n: int) -> PAdicInt:
         """The same value known only mod p**n, for 1 <= n <= N."""
@@ -181,14 +176,6 @@ def padic_from_integer(m: int, p: int, n: int) -> PAdicInt:
     if not isinstance(m, int):
         raise DomainError(f"expected an integer to reduce mod {p}^{n}, got {m!r}")
     return PAdicInt._residue(p, m % p ** n, n)
-
-
-def padic_zero(p: int, n: int) -> PAdicInt:
-    return padic_from_integer(0, p, n)
-
-
-def padic_one(p: int, n: int) -> PAdicInt:
-    return padic_from_integer(1, p, n)
 
 
 # op name -> arity

@@ -1,10 +1,12 @@
 """Tate curve coefficients a4(q) and a6(q) as exact residues mod p**N.
 
-The defining series sum n^3 * q^n / (1 - q^n) style terms; the n-th term
-has valuation at least n*v for v = valuation(q), because 1 - q^n is a unit.
-Truncating after the last n with (n+1)*v < N therefore loses nothing mod
-p**N, and every term is evaluated with unit inversion in the residue ring
-mod p**N rather than rational arithmetic.
+Both are Lambert series sum c(n) q^n / (1 - q^n) = sum b_m q^m with
+b_m = sum_{d | m} c(d): c(n) = -5n^3 gives a4 = -5 s3(q) and c(n) =
+-(5n^3 + 7n^5)/12, an integer, gives a6 = -(5 s3(q) + 7 s5(q))/12
+(Silverman, Advanced Topics in the Arithmetic of Elliptic Curves, V.3).
+q^m vanishes mod p**N once m * valuation(q) >= N, so a divisor sieve up to
+the truncation index and one Horner pass mod p**N give both, with no unit
+inverted and no 1/12, so p = 2 and 3 are valid.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .padic import PAdicInt, padic_from_integer, padic_one, padic_zero
+from .padic import PAdicInt, padic_from_integer
 
 
 @dataclass(frozen=True)
@@ -51,33 +53,31 @@ def a6_term_coefficient(n: int) -> int:
     return raw // 12
 
 
-def _series(q: PAdicInt, coefficient, terms: int | None) -> PAdicInt:
-    if terms is None:
-        terms = truncation_index(q)
-    else:
-        _tate_valuation(q)
-        if terms < 0:
-            raise DomainError(f"term count must be nonnegative, got {terms}")
-    p, n = q.p, q.precision
-    acc = padic_zero(p, n)
-    one = padic_one(p, n)
-    q_pow = one
-    for k in range(1, terms + 1):
-        q_pow = q_pow * q
-        term = padic_from_integer(coefficient(k), p, n) * q_pow
-        acc = acc + term * (one - q_pow).inverse()
-    return acc
+def _series(q: PAdicInt, coefficient) -> PAdicInt:
+    """sum c(n) q^n / (1 - q^n) = sum b_m q^m mod p**N, where
+    b_m = sum_{d | m} c(d) and m runs up to the truncation index."""
+    top = truncation_index(q)
+    b = [0] * (top + 1)
+    for d in range(1, top + 1):
+        c = coefficient(d)
+        for m in range(d, top + 1, d):
+            b[m] += c
+    modulus = q.p ** q.precision
+    acc = 0
+    for m in range(top, 0, -1):
+        acc = (acc + b[m]) * q.value % modulus
+    return padic_from_integer(acc, q.p, q.precision)
 
 
-def a4(q: PAdicInt, terms: int | None = None) -> PAdicInt:
+def a4(q: PAdicInt) -> PAdicInt:
     """-5 * sum n^3 q^n / (1 - q^n), truncated where the tail vanishes."""
-    return _series(q, lambda n: -5 * n ** 3, terms)
+    return _series(q, lambda n: -5 * n ** 3)
 
 
-def a6(q: PAdicInt, terms: int | None = None) -> PAdicInt:
+def a6(q: PAdicInt) -> PAdicInt:
     """-sum c_n q^n / (1 - q^n) with c_n = (5n^3 + 7n^5)/12 kept integral,
     so the evaluation is valid even where 12 is not invertible."""
-    return _series(q, lambda n: -a6_term_coefficient(n), terms)
+    return _series(q, lambda n: -a6_term_coefficient(n))
 
 
 def tate_coefficients(q: PAdicInt) -> TateCoefficients:

@@ -170,8 +170,9 @@ def test_criterion_5_series_oracle():
         terms = truncation_index(q)
         assert a4(q).value == _reduce(_oracle_a4(q_int, terms), p, n)
         assert a6(q).value == _reduce(_oracle_a6(q_int, terms), p, n)
-        assert a4(q) == a4(q, terms=terms + 10)
-        assert a6(q) == a6(q, terms=terms + 10)
+        # ten more terms change nothing mod p^N: the truncation loses nothing
+        assert a4(q).value == _reduce(_oracle_a4(q_int, terms + 10), p, n)
+        assert a6(q).value == _reduce(_oracle_a6(q_int, terms + 10), p, n)
     for k in range(1, 10 ** 4 + 1):
         assert (5 * k ** 3 + 7 * k ** 5) % 12 == 0
 

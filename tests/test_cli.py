@@ -291,3 +291,64 @@ def test_composite_p_with_two_31_bit_factors_is_rejected_fast(capsys):
         "p=4611685975477714963 is not prime (divisible by 2147483629)"
     ]
     assert elapsed < 1.0
+
+
+def test_dual_pair_at_a_huge_p_power_level_is_a_precision_error(capsys):
+    # 2^3000000 has 375 KB; its level is read without dividing it out
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "dual", "pair", "--p", "2", "--z", "1", "--prec", "3",
+        "--gamma", "1/2^3000000", "--json",
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    doc = _single_error_document(out, err)
+    assert doc["diagnostics"] == [
+        "pairing at level 3000000 needs z mod 2^3000000, but z carries precision 3"
+    ]
+    assert elapsed < 1.0
+
+
+def test_density_epsilon_past_int_to_str_limit_is_named_by_digit_count(capsys):
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "gamma", "density", "--p", "3", "--q", "3", "--prec", "20",
+        "--target", "1/2", "--epsilon", "1e-5000", "--json",
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    doc = _single_error_document(out, err)
+    assert doc["diagnostics"] == [
+        "hull generator 1/1162261467 exceeds epsilon 1/<5001 digits>; "
+        "precision about N=10481 would suffice"
+    ]
+    assert elapsed < 1.0
+
+
+def test_density_message_at_epsilon_1e_minus_3000(capsys):
+    code, out, err = invoke(
+        capsys, "gamma", "density", "--p", "3", "--q", "3", "--prec", "20",
+        "--target", "1/2", "--epsilon", "1e-3000", "--json",
+    )
+    assert code == 3
+    doc = _single_error_document(out, err)
+    assert doc["diagnostics"] == [
+        f"hull generator 1/1162261467 exceeds epsilon 1/{10 ** 3000}; "
+        "precision about N=6289 would suffice"
+    ]
+
+
+def test_dual_pair_foreign_factor_past_int_to_str_limit_is_a_domain_error(capsys):
+    # 6^9000 has 7004 digits; its prime-to-3 part 2^9000 has 2710
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "dual", "pair", "--p", "3", "--z", "1", "--prec", "3",
+        "--gamma", "1/6^9000", "--json",
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    doc = _single_error_document(out, err)
+    assert doc["diagnostics"] == [
+        f"denominator of 1/<7004 digits> has a prime factor {2 ** 9000} other than 3"
+    ]
+    assert elapsed < 1.0

@@ -19,6 +19,7 @@ from tatedual.gamma import (
     PruferRelation,
     PruferRelationsReport,
     SupernaturalLimit,
+    _required_precision,
     contains,
     contains_one_report,
     cyclic_hull,
@@ -180,6 +181,41 @@ def test_density_insufficient_precision_reports_estimate():
     assert w.distance < F(1, 100)
 
 
+def required_precision_by_search(q, content, epsilon):
+    """The least n > v with content / p**(n - v) <= epsilon, by trying each n."""
+    v = q.valuation()
+    n = v + 1
+    while Fraction(content, q.p ** (n - v)) > epsilon:
+        n += 1
+    return n
+
+
+@st.composite
+def precision_bounds(draw):
+    """(q, content, epsilon) with epsilon often exactly content / p**k, or
+    one part in 10**30 either side of it, where a size estimate is least sure."""
+    p = draw(st.sampled_from(SMALL_PRIMES + (1099511627689,)))
+    v = draw(st.integers(1, 5))
+    q = padic_from_integer(p ** v, p, v + 1)
+    content = draw(st.integers(1, 10 ** 30))
+    if draw(st.booleans()):
+        epsilon = draw(st.fractions(min_value=F(1, 10 ** 40), max_value=10 ** 31,
+                                    max_denominator=10 ** 40))
+        return q, content, epsilon
+    k = draw(st.integers(0, 120))
+    nudge = 1 + F(draw(st.integers(-1, 1)), 10 ** 30)
+    return q, content, F(content, p ** k) * nudge
+
+
+@settings(deadline=None)
+@given(precision_bounds())
+def test_required_precision_matches_the_search(bound):
+    q, content, epsilon = bound
+    assert _required_precision(q, content, epsilon) == required_precision_by_search(
+        q, content, epsilon
+    )
+
+
 def test_density_rejects_bad_epsilon_and_zero():
     with pytest.raises(DomainError):
         density_witness(padic_from_integer(3, 3, 4), F(1, 2), F(0))
@@ -200,6 +236,27 @@ def test_prufer_image_examples():
 def test_prufer_image_rejects_foreign_denominator():
     with pytest.raises(DomainError, match="prime factor"):
         prufer_image(F(1, 6), 3)
+
+
+@given(
+    p=st.sampled_from(SMALL_PRIMES + (1099511627689,)),
+    e=st.integers(0, 200),
+    m=st.integers(1, 50),
+    num=st.integers(-(10 ** 12), 10 ** 12),
+)
+def test_prufer_image_level_matches_one_division_at_a_time(p, e, m, num):
+    gamma = F(num, p ** e * m)
+    den, level = gamma.denominator, 0
+    while den % p == 0:
+        den //= p
+        level += 1
+    if den != 1:
+        with pytest.raises(DomainError, match=f"has a prime factor {den} other than {p}"):
+            prufer_image(gamma, p)
+    else:
+        assert prufer_image(gamma, p) == PruferElement(
+            p, level, (gamma % 1).numerator
+        )
 
 
 def test_prufer_element_validation_and_order():

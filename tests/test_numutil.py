@@ -1,18 +1,22 @@
 """Primality: deterministic Miller-Rabin against trial division, the
-composite message that names the smallest divisor, and rho factoring
-against trial division."""
+composite message that names the smallest divisor, rho factoring against
+trial division, and the p-power split against one division at a time."""
 
 import random
 from math import isqrt
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tatedual.errors import DomainError
 from tatedual.numutil import (
     check_prime,
     factorize,
     is_prime,
+    prime_to_part,
     smallest_factor,
+    split_power,
 )
 
 
@@ -68,3 +72,23 @@ def test_rho_agrees_with_trial_division_on_word_sized_composites():
         assert smallest_factor(n) == min(factors)
         if n < 10 ** 12:
             assert smallest_factor(n) == trial_division(n), n
+
+
+def split_one_at_a_time(n, p):
+    """(e, m) with n = p**e * m, p not dividing m, one division per factor."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e, n
+
+
+@given(
+    p=st.sampled_from((2, 3, 5, 7, 1099511627689)),
+    e=st.integers(0, 300),
+    m=st.integers(1, 10 ** 40),
+)
+def test_split_power_matches_one_division_at_a_time(p, e, m):
+    n = p ** e * m
+    assert split_power(n, p) == split_one_at_a_time(n, p)
+    assert prime_to_part(-n, p) == split_one_at_a_time(n, p)[1]

@@ -1,9 +1,12 @@
-"""Tate coefficients against an independent exact-rational oracle."""
+"""Tate coefficients against an independent exact-rational oracle and
+against the per-term residue series the Lambert form replaced."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SMALL_PRIMES, random_q
 from tatedual.errors import DomainError
@@ -39,6 +42,20 @@ def rational_a6(q_int: int, terms: int) -> Fraction:
         ),
         Fraction(0),
     )
+
+
+def residue_series(q, coefficient, terms):
+    """sum coefficient(n) q^n / (1 - q^n) for n = 1..terms, one unit
+    inversion per term in the residue ring mod p**N."""
+    p, n = q.p, q.precision
+    acc = padic_from_integer(0, p, n)
+    one = padic_from_integer(1, p, n)
+    q_pow = one
+    for k in range(1, terms + 1):
+        q_pow = q_pow * q
+        term = padic_from_integer(coefficient(k), p, n) * q_pow
+        acc = acc + term * (one - q_pow).inverse()
+    return acc
 
 
 # --- truncation -----------------------------------------------------------
@@ -105,8 +122,8 @@ def test_tail_stability_extra_terms_change_nothing():
         n = rng.randrange(2, 17)
         q = random_q(rng, p, n, min_valuation=1)
         n_max = truncation_index(q)
-        assert a4(q) == a4(q, terms=n_max + 10)
-        assert a6(q) == a6(q, terms=n_max + 10)
+        assert a4(q).value == reduce_mod(rational_a4(q.value, n_max + 10), p, n)
+        assert a6(q).value == reduce_mod(rational_a6(q.value, n_max + 10), p, n)
 
 
 def test_matches_rational_oracle_on_random_q():
@@ -148,3 +165,24 @@ def test_terms_used_matches_valuation_bound():
         n_max = truncation_index(q)
         assert (n_max + 1) * v >= n
         assert n_max * v < n  # least such index
+
+
+@st.composite
+def tate_q(draw):
+    """q = p**v * u mod p**N with 1 <= v <= 3, v < N <= 200 and u a unit."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 1099511627689)))  # a 40-bit prime
+    v = draw(st.integers(1, 3))
+    n = draw(st.integers(v + 1, 200))
+    u = draw(st.integers(0, p ** (n - v))) * p + draw(st.integers(1, p - 1))
+    return padic_from_integer(p ** v * u, p, n)
+
+
+@settings(deadline=None, max_examples=60)
+@given(tate_q())
+def test_lambert_horner_matches_residue_series(q):
+    n_max = truncation_index(q)
+    for series, coefficient in ((a4, lambda n: -5 * n ** 3),
+                                (a6, lambda n: -a6_term_coefficient(n))):
+        value = series(q)
+        assert value == residue_series(q, coefficient, n_max)
+        assert value == residue_series(q, coefficient, n_max + 10)
