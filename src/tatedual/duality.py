@@ -19,7 +19,9 @@ from .gamma import PruferElement, prufer_image
 from .numutil import check_prime
 from .padic import PAdicInt, padic_from_integer
 
-ENUMERATION_GUARD = 10 ** 6
+# the scan visits modulus**2 cells: 2**12 admits 2**24 of them, about 6 s in
+# pure Python
+ENUMERATION_GUARD = 2 ** 12
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ operations are exact mod p**N and never extend precision on their own.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -213,34 +212,3 @@ def canonical_sequence(x: PAdicInt) -> CanonicalSequence:
         pw *= x.p
         entries.append(x.value % pw)
     return CanonicalSequence(x.p, tuple(entries))
-
-
-_TEXT_RE = re.compile(
-    r"^\s*p=(\d+)\s+N=(\d+)\s+(?:digits=\[([^\]]*)\]|int=(-?\d+))\s*$"
-)
-
-
-def parse_padic(text: str) -> PAdicInt:
-    """Parse `p=<prime> N=<prec> digits=[c0,c1,...]` or `p=.. N=.. int=<m>`."""
-    m = _TEXT_RE.match(text)
-    if m is None:
-        raise DomainError(f"malformed p-adic literal: {text!r}")
-    p = int(m.group(1))
-    n = int(m.group(2))
-    if m.group(4) is not None:
-        return padic_from_integer(int(m.group(4)), p, n)
-    body = m.group(3).strip()
-    try:
-        digits = tuple(int(s) for s in body.split(",")) if body else ()
-    except ValueError:
-        raise DomainError(f"malformed digit list: {body!r}") from None
-    if len(digits) != n:
-        raise DomainError(
-            f"digit list length {len(digits)} does not match N={n}"
-        )
-    check_prime(p)
-    return PAdicInt(p, digits)
-
-
-def format_padic(x: PAdicInt) -> str:
-    return f"p={x.p} N={x.precision} digits=[{','.join(map(str, x.digits))}]"

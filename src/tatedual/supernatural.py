@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
-from .numutil import check_prime, factorize
+from .numutil import check_prime, factorize, split_power
 
 INF = float("inf")  # exponent marker; compared against ints, never summed
 
@@ -94,16 +94,14 @@ class TateUHF:
 
 def supernatural_from_sizes(m: UHFDescriptor) -> SupernaturalNumber:
     """Prime multiplicities of the full size product: the prefix contributes
-    finitely, any prime dividing the repeating tail contributes infinity."""
+    finitely, any prime dividing a size of the repeating tail contributes
+    infinity.  Each size is factorized on its own, never their product."""
     exps: dict[int, int | float] = {}
     for k in m.prefix:
         for p, e in factorize(k).items():
             exps[p] = exps.get(p, 0) + e
-    tail_product = 1
     for k in m.tail:
-        tail_product *= k
-    if tail_product > 1:
-        for p in factorize(tail_product):
+        for p in factorize(k):
             exps[p] = INF
     return SupernaturalNumber({p: e for p, e in exps.items() if e})
 
@@ -119,29 +117,15 @@ def k0_of(m: UHFDescriptor) -> SupernaturalNumber:
 
 def qn_contains(n: SupernaturalNumber, r) -> bool:
     """Membership of a rational in Q(n): every prime power in the reduced
-    denominator must be within n's exponent for that prime."""
-    r = Fraction(r)
-    if r.denominator == 1:
-        return True
-    return all(
-        mult <= n.exponent(p) for p, mult in factorize(r.denominator).items()
-    )
-
-
-def _sample_elements(n: SupernaturalNumber, cap: int = 8) -> list[Fraction]:
-    """A deterministic sample of Q(n) elements that exercises every support
-    prime at its extreme allowed denominator."""
-    elems = [Fraction(0), Fraction(1), Fraction(-3)]
-    combined = 1
-    for p in n.support():
-        e = n.exponent(p)
-        k = cap if e == INF else e
-        elems.append(Fraction(1, p ** k))
-        elems.append(Fraction(p ** k - 1, p ** k))
-        combined *= p ** k
-    if combined > 1:
-        elems.append(Fraction(7, combined))
-    return elems
+    denominator must be within n's exponent for that prime.  Each prime of
+    n is split off the denominator and what is left must be 1, so nothing
+    is factorized."""
+    rest = Fraction(r).denominator
+    for p, e in n.exponents.items():
+        k, rest = split_power(rest, p)
+        if k > e:
+            return False
+    return rest == 1
 
 
 def stably_isomorphic(n: SupernaturalNumber, n2: SupernaturalNumber) -> StableIsomorphism:
@@ -149,7 +133,8 @@ def stably_isomorphic(n: SupernaturalNumber, n2: SupernaturalNumber) -> StableIs
 
     Over the representable class the infinite parts must match exactly,
     while finite exponents are absorbed by scaling; when equal, the minimal
-    witness is returned and re-verified on sampled elements both ways.
+    witness is returned: r collects p**(e1 - e2) wherever n's finite
+    exponent e1 is the larger, s the reverse.
     """
     if n.infinite_support() != n2.infinite_support():
         return StableIsomorphism(equal=False, witness=None)
@@ -164,17 +149,6 @@ def stably_isomorphic(n: SupernaturalNumber, n2: SupernaturalNumber) -> StableIs
             r *= p ** (e1 - e2)
         elif e2 > e1:
             s *= p ** (e2 - e1)
-    ratio = Fraction(r, s)
-    for x in _sample_elements(n):
-        if not qn_contains(n2, x * ratio):
-            raise RuntimeError(
-                f"witness ({r}, {s}) failed re-verification on {x} in Q({n})"
-            )
-    for y in _sample_elements(n2):
-        if not qn_contains(n, y / ratio):
-            raise RuntimeError(
-                f"witness ({r}, {s}) failed re-verification on {y} in Q({n2})"
-            )
     return StableIsomorphism(equal=True, witness=(r, s))
 
 

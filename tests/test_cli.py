@@ -4,7 +4,11 @@ import json
 import sys
 import time
 
+import pytest
+
 from tatedual.cli import run
+from tatedual.duality import _check_enumeration_guard
+from tatedual.errors import DomainError
 
 
 def invoke(capsys, *argv):
@@ -237,7 +241,7 @@ def test_dual_check_huge_level_is_a_guard_error(capsys):
     doc = json.loads(lines[0])
     assert doc["status"] == "error"
     assert doc["result"] is None
-    assert doc["diagnostics"] == ["enumeration guard exceeded: 2^100000000 > 1000000"]
+    assert doc["diagnostics"] == ["enumeration guard exceeded: 2^100000000 > 4096"]
 
 
 def _single_error_document(out, err):
@@ -352,3 +356,49 @@ def test_dual_pair_foreign_factor_past_int_to_str_limit_is_a_domain_error(capsys
         f"denominator of 1/<7004 digits> has a prime factor {2 ** 9000} other than 3"
     ]
     assert elapsed < 1.0
+
+
+def _timed_json(capsys, *argv):
+    """Run argv with --json: (exit code, its one JSON document, seconds)."""
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv, "--json")
+    elapsed = time.perf_counter() - start
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1
+    return code, json.loads(lines[0]), elapsed
+
+
+def test_stable_iso_at_a_40_bit_prime_factors_nothing(capsys):
+    # a sampled re-check of the witness once trial-divided 1099511627689^2
+    code, doc, elapsed = _timed_json(
+        capsys, "uhf", "stable-iso", "--n", "1099511627689^2", "--n2", "1099511627689"
+    )
+    assert code == 0
+    assert doc["result"] == {"equal": True, "witness": {"r": 1099511627689, "s": 1}}
+    assert elapsed < 1.0
+
+
+def test_uhf_k0_factorizes_each_tail_size_not_their_product(capsys):
+    code, doc, elapsed = _timed_json(
+        capsys, "uhf", "k0", "--desc", "sizes=;tail=1099511627689,1099511627791"
+    )
+    assert code == 0
+    assert doc["result"]["k0"] == "1099511627689^inf*1099511627791^inf"
+    assert elapsed < 1.0
+
+
+def test_dual_check_at_level_16_is_a_guard_error(capsys):
+    # the scan visits m^2 cells: at m = 2^16 it would run for minutes
+    code, doc, elapsed = _timed_json(capsys, "dual", "check", "--p", "2", "--level", "16")
+    assert code == 3
+    assert doc["status"] == "error"
+    assert doc["result"] is None
+    assert doc["diagnostics"] == ["enumeration guard exceeded: 2^16 = 65536 > 4096"]
+    assert elapsed < 1.0
+
+
+def test_enumeration_guard_admits_2_to_the_12_and_no_more():
+    _check_enumeration_guard(2, 12)  # decided without a scan
+    with pytest.raises(DomainError, match=r"2\^13 = 8192 > 4096"):
+        _check_enumeration_guard(2, 13)

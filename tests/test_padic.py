@@ -1,5 +1,5 @@
-"""p-adic core: digit expansions, ring operations, valuations, canonical
-sequences, and the text format."""
+"""p-adic core: digit expansions, ring operations, valuations and canonical
+sequences."""
 
 import random
 
@@ -14,9 +14,7 @@ from tatedual.padic import (
     PAdicInt,
     arithmetic,
     canonical_sequence,
-    format_padic,
     padic_from_integer,
-    parse_padic,
 )
 
 
@@ -215,26 +213,3 @@ def test_digits_match_divmod_oracle(p, n, m):
     assert canonical_sequence(x).entries == tuple(
         m % p ** k for k in range(1, n + 1)
     )
-
-
-# --- text format ----------------------------------------------------------
-
-def test_text_format_roundtrip():
-    x = padic_from_integer(11, 2, 5)
-    assert format_padic(x) == "p=2 N=5 digits=[1,1,0,1,0]"
-    assert parse_padic(format_padic(x)) == x
-    assert parse_padic("p=3 N=4 int=12") == padic_from_integer(12, 3, 4)
-    assert parse_padic("p=3 N=4 int=-1").value == 80
-
-
-def test_text_format_rejects_malformed():
-    with pytest.raises(DomainError):
-        parse_padic("p=2 digits=[0,1]")
-    with pytest.raises(DomainError, match="out of range"):
-        parse_padic("p=2 N=2 digits=[0,5]")
-    with pytest.raises(DomainError, match="length"):
-        parse_padic("p=2 N=3 digits=[0,1]")
-    with pytest.raises(DomainError):
-        parse_padic("p=4 N=2 digits=[0,1]")
-    with pytest.raises(DomainError):
-        parse_padic("totally not a residue")

@@ -1,10 +1,13 @@
 """Supernatural numbers, Q(n) membership, K0 invariants, and the stable
 isomorphism decision."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tatedual.errors import DomainError
 from tatedual.numutil import factorize
@@ -87,6 +90,14 @@ def test_from_sizes_multiplicative_over_concatenation():
             assert whole.exponent(p) == a.exponent(p) + b.exponent(p)
 
 
+def test_tail_primes_are_the_primes_of_the_tail_product():
+    rng = random.Random(7)
+    for _ in range(50):
+        tail = tuple(rng.randint(1, 60) for _ in range(rng.randint(1, 4)))
+        n = supernatural_from_sizes(UHFDescriptor(tail=tail))
+        assert n.exponents == {p: INF for p in factorize(math.prod(tail))}
+
+
 def test_stage_invariants_divide_along_the_chain():
     rng = random.Random(9)
     for _ in range(30):
@@ -121,6 +132,37 @@ def test_qn_contains_examples():
     assert not qn_contains(sn(p2=3), Fraction(1, 16))
     assert qn_contains(SupernaturalNumber({2: INF, 3: 1}), Fraction(7, 6))
     assert qn_contains(sn(p2=1), 5)  # integers always belong
+
+
+def qn_contains_by_factoring(n, r):
+    """The form qn_contains replaced: factorize the reduced denominator."""
+    den = Fraction(r).denominator
+    return all(mult <= n.exponent(p) for p, mult in factorize(den).items())
+
+
+# one exponent per prime of PRIMES, 0 meaning absent, so that denominators
+# often sit at n's exponent or one past it
+_EXPONENTS = st.lists(st.one_of(st.just(0), st.integers(1, 4), st.just(INF)),
+                      min_size=len(PRIMES), max_size=len(PRIMES))
+
+
+@given(
+    n_exps=_EXPONENTS,
+    den_exps=st.lists(st.integers(0, 5), min_size=len(PRIMES), max_size=len(PRIMES)),
+    num=st.integers(-10 ** 6, 10 ** 6),
+)
+def test_qn_contains_matches_factoring(n_exps, den_exps, num):
+    n = SupernaturalNumber({p: e for p, e in zip(PRIMES, n_exps) if e})
+    r = Fraction(num, math.prod(p ** e for p, e in zip(PRIMES, den_exps)))
+    assert qn_contains(n, r) == qn_contains_by_factoring(n, r)
+
+
+def test_qn_contains_at_a_40_bit_prime_does_not_factor():
+    big = 1099511627689  # a 40-bit prime; trial division of big**3 runs to big
+    n = SupernaturalNumber({big: 2})
+    assert not qn_contains(n, Fraction(1, big ** 3))
+    assert qn_contains(n, Fraction(5, big ** 2))
+    assert not qn_contains(n, Fraction(1, 3 * big))
 
 
 # --- stable isomorphism ---------------------------------------------------
