@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, PrecisionError, shown
-from .numutil import check_prime, prime_to_part, split_power
+from .numutil import check_prime, gcd_with_coefficients, prime_to_part, split_power
 from .padic import PAdicInt, canonical_sequence
 from .supernatural import INF, SupernaturalNumber
 
@@ -164,6 +164,22 @@ def _hull_numerators(q: PAdicInt) -> list[int]:
         g = math.gcd(g * q.p, q.value % pn)
         out.append(g)
     return out
+
+
+def hull_with_coefficients(gens) -> tuple[CyclicSubgroupQ, list[int]]:
+    """Cyclic hull of finitely many rationals plus a certificate.
+
+    Over the common denominator D the hull generator is gcd of the scaled
+    numerators divided by D; the returned coefficients c satisfy
+    sum(c_i * gens_i) == generator exactly.
+    """
+    gens = [Fraction(g) for g in gens]
+    if not gens:
+        return CyclicSubgroupQ(Fraction(0)), []
+    d = math.lcm(*(g.denominator for g in gens))
+    nums = [g.numerator * (d // g.denominator) for g in gens]
+    g, coeffs = gcd_with_coefficients(nums)
+    return CyclicSubgroupQ(Fraction(g, d)), coeffs
 
 
 def cyclic_hull(gens) -> CyclicSubgroupQ:

@@ -1,6 +1,6 @@
 """Small integer helpers shared across the package: primality by
 deterministic Miller-Rabin, factorization by trial division and (below
-2**63) Pollard rho, and the split of a number into a p-power and the rest."""
+2**63) Pollard rho, and extended gcd with combination certificates."""
 
 from __future__ import annotations
 
@@ -153,3 +153,34 @@ def prime_to_part(n: int, p: int) -> int:
     if n == 0:
         return 0
     return split_power(abs(n), p)[1]
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Extended Euclid: (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    if old_r < 0:
+        old_r, old_x, old_y = -old_r, -old_x, -old_y
+    return old_r, old_x, old_y
+
+
+def gcd_with_coefficients(nums: list[int]) -> tuple[int, list[int]]:
+    """gcd of a list together with integer coefficients realizing it.
+
+    Returns (g, c) with g = sum(c[i] * nums[i]) and g = gcd(nums) >= 0.
+    The empty list has gcd 0.
+    """
+    g = 0
+    coeffs: list[int] = []
+    for n in nums:
+        g2, x, y = xgcd(g, n)
+        coeffs = [c * x for c in coeffs]
+        coeffs.append(y)
+        g = g2
+    return g, coeffs

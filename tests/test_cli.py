@@ -229,26 +229,28 @@ def test_help_exits_zero(capsys):
 
 
 def test_dual_check_huge_level_is_a_guard_error(capsys):
-    # 2^100000000 has far more digits than int-to-str allows; the guard
-    # must reject it before building or printing the power
-    code, out, err = invoke(
-        capsys, "dual", "check", "--p", "2", "--level", "100000000", "--json"
-    )
-    assert code == 3
+    # 2^100000000 has far more digits than int-to-str allows, so the guard
+    # must reject it before building or printing the power; the scan visits
+    # m^2 cells, so at m = 2^16 it would run for minutes
+    for level, shown in (("100000000", "2^100000000"), ("16", "2^16 = 65536")):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "dual", "check", "--p", "2", "--level", level, "--json")
+        elapsed = time.perf_counter() - start
+        assert code == 3
+        doc = _single_error_document(out, err)
+        assert doc["diagnostics"] == [f"enumeration guard exceeded: {shown} > 4096"]
+        assert elapsed < 1.0
+
+
+def _one_document(out, err):
     assert err == ""
     lines = out.splitlines()
     assert len(lines) == 1
-    doc = json.loads(lines[0])
-    assert doc["status"] == "error"
-    assert doc["result"] is None
-    assert doc["diagnostics"] == ["enumeration guard exceeded: 2^100000000 > 4096"]
+    return json.loads(lines[0])
 
 
 def _single_error_document(out, err):
-    assert err == ""
-    lines = out.splitlines()
-    assert len(lines) == 1
-    doc = json.loads(lines[0])
+    doc = _one_document(out, err)
     assert doc["status"] == "error"
     assert doc["result"] is None
     return doc
@@ -363,10 +365,7 @@ def _timed_json(capsys, *argv):
     start = time.perf_counter()
     code, out, err = invoke(capsys, *argv, "--json")
     elapsed = time.perf_counter() - start
-    assert err == ""
-    lines = out.splitlines()
-    assert len(lines) == 1
-    return code, json.loads(lines[0]), elapsed
+    return code, _one_document(out, err), elapsed
 
 
 def test_stable_iso_at_a_40_bit_prime_factors_nothing(capsys):
@@ -385,16 +384,6 @@ def test_uhf_k0_factorizes_each_tail_size_not_their_product(capsys):
     )
     assert code == 0
     assert doc["result"]["k0"] == "1099511627689^inf*1099511627791^inf"
-    assert elapsed < 1.0
-
-
-def test_dual_check_at_level_16_is_a_guard_error(capsys):
-    # the scan visits m^2 cells: at m = 2^16 it would run for minutes
-    code, doc, elapsed = _timed_json(capsys, "dual", "check", "--p", "2", "--level", "16")
-    assert code == 3
-    assert doc["status"] == "error"
-    assert doc["result"] is None
-    assert doc["diagnostics"] == ["enumeration guard exceeded: 2^16 = 65536 > 4096"]
     assert elapsed < 1.0
 
 

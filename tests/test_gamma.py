@@ -26,6 +26,7 @@ from tatedual.gamma import (
     density_witness,
     gamma_generators,
     gamma_group,
+    hull_with_coefficients,
     parse_prufer,
     prufer_add,
     prufer_image,
@@ -76,21 +77,21 @@ def test_hull_trivial_cases():
     assert cyclic_hull([F(0), F(1, 3), F(4, 9)]).generator == F(1, 9)
 
 
-def test_hull_on_random_sets():
+def test_hull_certificate_on_random_sets():
     rng = random.Random(11)
     for _ in range(100):
         gens = [
             F(rng.randint(-30, 30), rng.randint(1, 30))
             for _ in range(rng.randint(1, 6))
         ]
-        group = cyclic_hull(gens)
-        assert group == oracle_hull(gens)
+        group, coeffs = hull_with_coefficients(gens)
+        assert cyclic_hull(gens) == group
         g = group.generator
+        assert sum(c * x for c, x in zip(coeffs, gens)) == g
         for x in gens:
             assert contains(group, x)
-        if g:
-            # minimal: the inputs are coprime multiples of the generator
-            assert math.gcd(*(int(x / g) for x in gens)) == 1
+            if g:
+                assert (x / g).denominator == 1
 
 
 def test_gamma_group_examples():
@@ -376,14 +377,11 @@ def test_supernatural_limit_rejections():
 #
 # The oracles below rebuild each object from Fractions the way the package
 # did before it read everything off the running gcd G_n = gcd(p*G_{n-1}, a_n)
-# and the digits of q.  Their hulls scale every numerator to the common
-# denominator D and take gcd(scaled numerators) / D, a different route from
-# cyclic_hull's gcd(numerators) / lcm(denominators).
+# and the digits of q.  Their hulls come from the certified
+# hull_with_coefficients, so they share no code with cyclic_hull.
 
 def oracle_hull(gens):
-    d = math.lcm(*(g.denominator for g in gens))
-    scaled = [g.numerator * (d // g.denominator) for g in gens]
-    return CyclicSubgroupQ(F(math.gcd(*scaled), d))
+    return hull_with_coefficients(gens)[0]
 
 
 def oracle_gamma_group(q):
