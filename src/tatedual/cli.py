@@ -2,8 +2,9 @@
 
 Every operation is reachable as `<group> <subcommand>`; results are printed
 as key/value text or, with --json, as one canonical JSON document per
-invocation (sorted keys, compact separators, every exact value carried as a
-string).  Exit codes: 0 success, 2 input error, 3 precondition violation.
+invocation, usage errors included (sorted keys, compact separators, every
+exact value carried as a string).  Exit codes: 0 success, 2 input error,
+3 precondition violation.
 """
 
 from __future__ import annotations
@@ -24,6 +25,20 @@ EXIT_DOMAIN = 3
 
 class InputError(Exception):
     """Malformed command-line input (maps to exit code 2)."""
+
+
+class _UsageError(Exception):
+    """An argparse usage error, held back so that `run` can report it as
+    JSON when the argv asks for JSON."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(self, message)
 
 
 @dataclass
@@ -252,15 +267,14 @@ def _cmd_dual_check(ns):
     }
 
 
-def _padic_flags(parser, q_flag=True):
+def _padic_flags(parser):
     parser.add_argument("--p", type=int, required=True, help="prime")
     parser.add_argument("--prec", type=int, default=None, help="precision N")
-    if q_flag:
-        parser.add_argument("--q", help="integer or digit list [c0,c1,...]")
+    parser.add_argument("--q", help="integer or digit list [c0,c1,...]")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    root = argparse.ArgumentParser(
+    root = _Parser(
         prog="tatedual",
         description="Exact p-adic / Tate-curve / UHF-duality computations.",
     )
@@ -341,11 +355,29 @@ def _echo_inputs(ns) -> dict:
     }
 
 
+def _usage_error(exc: _UsageError, argv: list[str]) -> int:
+    """Report a usage error: one JSON error document when the argv asks for
+    JSON (argparse takes any prefix of --json down to --j), else argparse's
+    own usage text on stderr."""
+    if any(len(arg) > 2 and "--json".startswith(arg) for arg in argv):
+        command = exc.parser.prog.partition(" ")[2]  # the subcommand path reached
+        outcome = CommandResult(command=command, inputs={}, result=None, status="error")
+        outcome.diagnostics.append(str(exc))
+        print(outcome.to_json())
+        return EXIT_INPUT
+    try:
+        argparse.ArgumentParser.error(exc.parser, str(exc))
+    except SystemExit as done:
+        return done.code
+
+
 def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed usage
+    except _UsageError as exc:
+        return _usage_error(exc, argv)
+    except SystemExit as exc:  # --help has printed its text
         code = exc.code if isinstance(exc.code, int) else EXIT_INPUT
         return code
     command = f"{ns.group} {ns.sub}"

@@ -30,10 +30,14 @@ def digits_past_limit(n: int) -> int:
     a number of at most 3*limit bits is below 8**limit < 10**limit."""
     limit = int_str_limit()
     n = abs(n)
-    if not limit or n.bit_length() <= 3 * limit or n < 10 ** limit:
+    if not limit or n.bit_length() <= 3 * limit:
         return 0
-    k = int(math.log10(n))  # off by at most one next to a power of ten
-    return k + 1 + (n >= 10 ** (k + 1)) - (n < 10 ** k)
+    x = math.log10(n)
+    k = round(x)
+    # log10 of an int is off by far less than x * 1e-12, so only a number
+    # that close to the power of ten 10**k needs that power to settle it
+    digits = k + (n >= 10 ** k) if abs(x - k) <= x * 1e-12 else math.floor(x) + 1
+    return digits if digits > limit else 0
 
 
 def shown(x) -> str:

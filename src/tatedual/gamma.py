@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import DomainError, PrecisionError, shown
 from .numutil import check_prime, gcd_with_coefficients, prime_to_part, split_power
-from .padic import PAdicInt, canonical_sequence
+from .padic import PAdicInt, prefix_residues
 from .supernatural import INF, SupernaturalNumber
 
 
@@ -144,26 +144,16 @@ def _positive_valuation(q: PAdicInt) -> int:
 
 def gamma_generators(q: PAdicInt) -> list[Fraction]:
     """The generators gamma_n = a_n / p**n for n = 1..N, each in [0, 1)."""
-    seq = canonical_sequence(q)
-    pn = 1
-    out = []
-    for a in seq.entries:
-        pn *= q.p
-        out.append(Fraction(a, pn))
-    return out
+    return [Fraction(a, pn) for a, pn in prefix_residues(q)]
 
 
 def _hull_numerators(q: PAdicInt) -> list[int]:
     """G_1..G_N with G_n = gcd(p * G_{n-1}, a_n): the level-n truncation
     of q spans the cyclic group generated by G_n / p**n."""
-    out = []
-    g = 0
-    pn = 1
-    for _ in range(q.precision):
-        pn *= q.p
-        g = math.gcd(g * q.p, q.value % pn)
-        out.append(g)
-    return out
+    out = [0]
+    for a, _ in prefix_residues(q):
+        out.append(math.gcd(out[-1] * q.p, a))
+    return out[1:]
 
 
 def hull_with_coefficients(gens) -> tuple[CyclicSubgroupQ, list[int]]:

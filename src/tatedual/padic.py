@@ -204,11 +204,16 @@ def valuation(x: PAdicInt):
     return x.valuation()
 
 
+def prefix_residues(x: PAdicInt):
+    """Yield (a_n, p**n) for n = 1..N, where a_n = x mod p**n, one digit at
+    a time: a_n = a_{n-1} + c_{n-1} * p**(n-1)."""
+    a, pw = 0, 1
+    for c in x.digits:
+        a += c * pw
+        pw *= x.p
+        yield a, pw
+
+
 def canonical_sequence(x: PAdicInt) -> CanonicalSequence:
     """The residues a_n = x mod p**n for n = 1..N."""
-    entries = []
-    pw = 1
-    for _ in range(x.precision):
-        pw *= x.p
-        entries.append(x.value % pw)
-    return CanonicalSequence(x.p, tuple(entries))
+    return CanonicalSequence(x.p, tuple(a for a, _ in prefix_residues(x)))

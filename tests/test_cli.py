@@ -391,3 +391,73 @@ def test_enumeration_guard_admits_2_to_the_12_and_no_more():
     _check_enumeration_guard(2, 12)  # decided without a scan
     with pytest.raises(DomainError, match=r"2\^13 = 8192 > 4096"):
         _check_enumeration_guard(2, 13)
+
+
+@pytest.mark.parametrize("key", ["sizes", "tail"])
+def test_uhf_k0_splits_a_product_of_two_40_bit_primes(capsys, key):
+    # 1099511627689 * 1099511627791 (80 bits): trial division past 2^63 never ended
+    code, doc, elapsed = _timed_json(
+        capsys, "uhf", "k0", "--desc", f"{key}=1208925819535464337504999"
+    )
+    assert code == 0
+    power = "" if key == "sizes" else "^inf"
+    assert doc["result"]["k0"] == f"1099511627689{power}*1099511627791{power}"
+    assert elapsed < 3.0
+
+
+def test_uhf_k0_size_rho_cannot_split_names_the_budget(capsys):
+    # an 81-bit probable prime: Miller-Rabin is not exact there and rho finds nothing
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "uhf", "k0", "--desc", "sizes=1208925819614629174706189", "--json"
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    doc = _single_error_document(out, err)
+    assert doc["diagnostics"] == [
+        "cannot factorize 1208925819614629174706189 (81 bits): Pollard rho found no "
+        "factor in its budget of 1048576 steps"
+    ]
+    assert elapsed < 3.0
+
+
+def test_stable_iso_witness_of_30_million_digits_is_counted_fast(capsys):
+    # the digit count of 2^99999999 once came from building 10^30102999
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "uhf", "stable-iso", "--n", "2^99999999", "--n2", "1",
+                            "--json")
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    doc = _single_error_document(out, err)
+    assert doc["diagnostics"][0].startswith("an output integer has 30103000 decimal digits")
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize(
+    "argv, command, diagnostic",
+    [
+        ("gamma gens --p x --prec 3 --q 2 --json", "gamma gens",
+         "argument --p: invalid int value: 'x'"),
+        ("nonsense --json", "", "argument group: invalid choice: 'nonsense'"),
+        ("gamma gens --p 2 --prec 3 --q 2 --json --bogus", "",
+         "unrecognized arguments: --bogus"),
+    ],
+)
+def test_usage_errors_with_json_print_one_error_document(capsys, argv, command, diagnostic):
+    code, out, err = invoke(capsys, *argv.split())
+    assert code == 2
+    doc = _single_error_document(out, err)
+    assert doc["command"] == command
+    assert doc["inputs"] == {}
+    assert len(doc["diagnostics"]) == 1
+    assert doc["diagnostics"][0].startswith(diagnostic)
+
+
+def test_usage_errors_in_text_mode_keep_argparse_usage_on_stderr(capsys):
+    code, out, err = invoke(capsys, "gamma", "gens", "--p", "x", "--prec", "3", "--q", "2")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "usage: tatedual gamma gens [-h] --p P [--prec PREC] [--q Q] [--json]\n"
+        "tatedual gamma gens: error: argument --p: invalid int value: 'x'\n"
+    )

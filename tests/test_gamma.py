@@ -19,6 +19,7 @@ from tatedual.gamma import (
     PruferRelation,
     PruferRelationsReport,
     SupernaturalLimit,
+    _hull_numerators,
     _required_precision,
     contains,
     contains_one_report,
@@ -468,3 +469,28 @@ def test_group_and_content_match_brute_force_on_units_and_zero(q):
             contains_one_report(q)
     else:
         assert contains_one_report(q) == oracle_contains_one_report(q)
+
+
+def residues_by_reduction(q):
+    """(a_n, p**n) with a_n = q mod p**n reduced from q's value for each n:
+    the loop gamma_generators and _hull_numerators ran before they read
+    the digits."""
+    out = []
+    pn = 1
+    for _ in range(q.precision):
+        pn *= q.p
+        out.append((q.value % pn, pn))
+    return out
+
+
+@settings(deadline=None)
+@given(residue_q(min_v=0, allow_zero=True))
+@example(padic_from_integer(-2, 2, 40))
+def test_digit_pass_matches_reduction_mod_each_power(q):
+    pairs = residues_by_reduction(q)
+    assert gamma_generators(q) == [Fraction(a, pn) for a, pn in pairs]
+    hull, g = [], 0
+    for a, _ in pairs:
+        g = math.gcd(g * q.p, a)
+        hull.append(g)
+    assert _hull_numerators(q) == hull

@@ -1,14 +1,17 @@
 """Primality: deterministic Miller-Rabin against trial division, the
 composite message that names the smallest divisor, rho factoring against
-trial division, and the p-power split against one division at a time."""
+trial division and past 2**63, and the p-power split against one division
+at a time."""
 
+import math
 import random
 from math import isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tatedual import numutil
 from tatedual.errors import DomainError
 from tatedual.numutil import (
     check_prime,
@@ -92,3 +95,44 @@ def test_split_power_matches_one_division_at_a_time(p, e, m):
     n = p ** e * m
     assert split_power(n, p) == split_one_at_a_time(n, p)
     assert prime_to_part(-n, p) == split_one_at_a_time(n, p)[1]
+
+
+PRIMES_31_32_BITS = (2147483629, 2147483647, 4294967291)
+
+
+@settings(deadline=None, max_examples=15)
+@given(
+    small=st.lists(st.sampled_from((2, 3, 1021, 1031, 65521)), max_size=4),
+    large=st.lists(st.sampled_from(PRIMES_31_32_BITS), min_size=1, max_size=3),
+)
+def test_factorize_recovers_products_at_any_size(small, large):
+    n = math.prod(small) * math.prod(large)
+    expected = {f: (small + large).count(f) for f in set(small + large)}
+    assert factorize(n) == expected
+    assert smallest_factor(n) == min(expected)
+
+
+@pytest.mark.parametrize(
+    "n, large_primes",
+    [
+        (2147483629 * 2147483647 * 4294967291, 3),
+        (1031 ** 7 * 2147483647 ** 5 * 3, 2),
+        (2147483647 ** 4, 1),
+        (1031 ** 3 * 1033 ** 2 * 1039, 3),
+    ],
+)
+def test_factorize_gives_rho_no_cofactor_twice(monkeypatch, n, large_primes):
+    calls = []
+    rho = numutil._rho_divisor
+
+    def counted(m):
+        calls.append(m)
+        return rho(m)
+
+    monkeypatch.setattr(numutil, "_rho_divisor", counted)
+    factors = factorize(n)
+    assert math.prod(f ** e for f, e in factors.items()) == n
+    assert all(is_prime(f) for f in factors)
+    # every prime past trial division leaves with all its powers at once
+    assert len(set(calls)) == len(calls) <= large_primes
+
