@@ -19,9 +19,10 @@ from .gamma import PruferElement, prufer_image
 from .numutil import check_prime
 from .padic import PAdicInt, padic_from_integer
 
-# the scan visits modulus**2 cells: 2**12 admits 2**24 of them, about 6 s in
-# pure Python
-ENUMERATION_GUARD = 2 ** 12
+# the scan visits modulus**2 cells, one packed row of them per step: 2**13
+# admits 2**26 cells, and a whole `dual check` there takes 3.3-3.9 s in pure
+# Python (2-vCPU host; the cell-by-cell loop took about 6.7 s at 2**12)
+ENUMERATION_GUARD = 2 ** 13
 
 
 @dataclass(frozen=True)

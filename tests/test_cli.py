@@ -238,7 +238,7 @@ def test_dual_check_huge_level_is_a_guard_error(capsys):
         elapsed = time.perf_counter() - start
         assert code == 3
         doc = _single_error_document(out, err)
-        assert doc["diagnostics"] == [f"enumeration guard exceeded: {shown} > 4096"]
+        assert doc["diagnostics"] == [f"enumeration guard exceeded: {shown} > 8192"]
         assert elapsed < 1.0
 
 
@@ -387,10 +387,11 @@ def test_uhf_k0_factorizes_each_tail_size_not_their_product(capsys):
     assert elapsed < 1.0
 
 
-def test_enumeration_guard_admits_2_to_the_12_and_no_more():
-    _check_enumeration_guard(2, 12)  # decided without a scan
-    with pytest.raises(DomainError, match=r"2\^13 = 8192 > 4096"):
-        _check_enumeration_guard(2, 13)
+def test_enumeration_guard_admits_2_to_the_13_and_no_more():
+    _check_enumeration_guard(2, 13)  # decided without a scan
+    _check_enumeration_guard(89, 2)
+    with pytest.raises(DomainError, match=r"2\^14 = 16384 > 8192"):
+        _check_enumeration_guard(2, 14)
 
 
 @pytest.mark.parametrize("key", ["sizes", "tail"])
@@ -402,6 +403,16 @@ def test_uhf_k0_splits_a_product_of_two_40_bit_primes(capsys, key):
     assert code == 0
     power = "" if key == "sizes" else "^inf"
     assert doc["result"]["k0"] == f"1099511627689{power}*1099511627791{power}"
+    assert elapsed < 3.0
+
+
+def test_uhf_k0_splits_the_square_of_a_40_bit_prime(capsys):
+    # 1099511627689^2 (80 bits): one gcd per rho step ran out of budget here
+    code, doc, elapsed = _timed_json(
+        capsys, "uhf", "k0", "--desc", "sizes=1208925819423314151480721"
+    )
+    assert code == 0
+    assert doc["result"]["k0"] == "1099511627689^2"
     assert elapsed < 3.0
 
 

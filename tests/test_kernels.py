@@ -1,5 +1,7 @@
 """Residue-kernel tests: the ring operations against a big-integer oracle,
-the digit/integer round trip, and the exhaustive pairing scan."""
+the digit/integer round trip, and the exhaustive pairing scan: its packed
+rows lane by lane, and its results against the cell-by-cell loop, also
+with one lane corrupted."""
 
 import random
 
@@ -108,3 +110,134 @@ def test_bilinear_scan_passes_small_levels(p, level):
 def test_bilinear_scan_passes_listed_levels():
     for p, level in [(2, 5), (3, 3), (5, 2), (7, 1), (2, 0)]:
         assert kernels.bilinear_scan(p, level) is None
+
+
+def loop_scan(p, level):
+    """The cell-by-cell scan the packed one replaced: the differential oracle."""
+    m = p ** level
+    if m == 1:
+        return None
+    for z in range(m):
+        z1 = z + 1
+        if z1 == m:
+            z1 = 0
+        zc = 0  # z*c mod m, maintained incrementally
+        for c in range(m):
+            if (z1 * c) % m != (zc + c) % m:
+                return ("z-additivity", z, c)
+            if (z * (c + 1)) % m != (zc + z) % m:
+                return ("gamma-additivity", z, c)
+            zc += z
+            if zc >= m:
+                zc -= m
+    return None
+
+
+def unpack(row, lanes):
+    lane = (1 << lanes.width) - 1
+    return [row >> lanes.width * c & lane for c in range(lanes.m)]
+
+
+def small_prime_levels(bound):
+    return [(p, k) for p in (2, 3, 5, 7) for k in range(1, 13) if p ** k <= bound]
+
+
+@settings(deadline=None, max_examples=10)
+@given(case=st.sampled_from(small_prime_levels(4096)))
+def test_packed_scan_matches_loop(case):
+    assert kernels.bilinear_scan(*case) == loop_scan(*case)
+
+
+@settings(deadline=None, max_examples=5)
+@given(p=st.sampled_from([n for n in range(11, 2048) if smallest_factor(n) == n]))
+def test_packed_scan_matches_loop_at_large_primes(p):
+    assert kernels.bilinear_scan(p, 1) == loop_scan(p, 1)
+
+
+# m just below, at and just above powers of two, and the largest moduli under
+# the enumeration guard (2^13, the prime 8191 and 89^2)
+LANE_MODULI = sorted({2 ** k + d for k in range(1, 14) for d in (-1, 0, 1)} | {7921})
+
+
+@pytest.mark.parametrize("m", LANE_MODULI)
+def test_packed_row_is_z_times_c_mod_m_in_every_lane(m):
+    lanes = kernels._Lanes(m)
+    counting = lanes.counting()
+    assert unpack(counting, lanes) == list(range(m))
+    rng = random.Random(m)
+    for z in {0, 1, m - 1, m // 2} | {rng.randrange(m) for _ in range(3)}:
+        row = lanes.reduce(z * counting)
+        assert unpack(row, lanes) == [z * c % m for c in range(m)]
+        assert row >> lanes.width * m == 0
+
+
+@given(m=st.integers(2, 2 ** 13 + 1), data=st.data())
+def test_reduce_takes_every_lane_below_4_to_the_b(m, data):
+    # the layout is sized for any lane below 4**b (b = bits of m), not only
+    # for the products z*c < m**2 that a row holds
+    lanes = kernels._Lanes(m)
+    count = min(m, 64)
+    values = data.draw(st.lists(st.integers(0, 4 ** m.bit_length() - 1),
+                                min_size=count, max_size=count))
+    packed = sum(v << lanes.width * c for c, v in enumerate(values))
+    reduced = lanes.reduce(packed)
+    assert unpack(reduced, lanes)[:count] == [v % m for v in values]
+    assert reduced >> lanes.width * count == 0
+
+
+def table_scan(table, m):
+    """The loop's order and checks, reading row z's lane c from table[z][c]."""
+    for z in range(m):
+        z1 = (z + 1) % m
+        for c in range(m):
+            if table[z1][c] != (table[z][c] + table[1][c]) % m:
+                return ("z-additivity", z, c)
+            shifted = table[z][c + 1] if c + 1 < m else 0
+            if shifted != (table[z][c] + z) % m:
+                return ("gamma-additivity", z, c)
+    return None
+
+
+def corrupt_lane(monkeypatch, m, z0, c0):
+    """Make the reduction return row z0 with lane c0 moved up by one mod m."""
+    reduce = kernels._Lanes.reduce
+
+    def corrupted(self, x):
+        row = reduce(self, x)
+        if x == z0 * self.counting():
+            old = row >> self.width * c0 & (1 << self.width) - 1
+            row += ((old + 1) % m - old) << self.width * c0
+        return row
+
+    monkeypatch.setattr(kernels._Lanes, "reduce", corrupted)
+
+
+@pytest.mark.parametrize(
+    "p, level, z0, c0, expected",
+    [
+        (3, 4, 40, 17, ("z-additivity", 39, 17)),
+        (2, 6, 63, 0, ("z-additivity", 62, 0)),
+        (7, 2, 0, 5, ("gamma-additivity", 0, 4)),  # row 0 fails its own shift first
+        (5, 2, 1, 3, ("gamma-additivity", 1, 2)),  # row 1 is also the z-step's addend
+        (2, 3, 2, 7, ("z-additivity", 1, 7)),
+    ],
+)
+def test_mismatch_returns_the_loops_first_failing_cell(monkeypatch, p, level, z0, c0, expected):
+    m = p ** level
+    corrupt_lane(monkeypatch, m, z0, c0)
+    lanes = kernels._Lanes(m)
+    table = [unpack(lanes.reduce(z * lanes.counting()), lanes) for z in range(m)]
+    assert table_scan(table, m) == expected
+    assert kernels.bilinear_scan(p, level) == expected
+
+
+@settings(deadline=None, max_examples=30)
+@given(case=st.sampled_from(small_prime_levels(243)), data=st.data())
+def test_any_corrupted_lane_gives_the_table_loops_triple(case, data):
+    m = case[0] ** case[1]
+    z0, c0 = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        corrupt_lane(monkeypatch, m, z0, c0)
+        lanes = kernels._Lanes(m)
+        table = [unpack(lanes.reduce(z * lanes.counting()), lanes) for z in range(m)]
+        assert kernels.bilinear_scan(*case) == table_scan(table, m) is not None
