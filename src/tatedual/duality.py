@@ -5,7 +5,9 @@ A p-adic integer z acts on a torsion element a/p**n as the character
 sending it to z*a/p**n mod 1; only z mod p**n matters, every value lands in
 the rational points of the circle, and at each finite level the induced
 pairing (Z/p^n) x (Z/p^n) -> (1/p^n)Z/Z is perfect.  The exhaustive
-finite-level verification is the content of `perfectness_check`.
+finite-level verification is the content of `perfectness_check`: one packed
+scan of the whole table decides bilinearity and both nondegeneracies, and
+`pair` is the element-by-element route the tests hold it against.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from . import kernels
 from .errors import DomainError, PrecisionError, digits_past_limit, int_str_limit
 from .gamma import PruferElement, prufer_image
 from .numutil import check_prime
-from .padic import PAdicInt, padic_from_integer
+from .padic import PAdicInt
 
 # the scan visits modulus**2 cells, one packed row of them per step: 2**13
-# admits 2**26 cells, and a whole `dual check` there takes 3.3-3.9 s in pure
-# Python (2-vCPU host; the cell-by-cell loop took about 6.7 s at 2**12)
+# admits 2**26 cells, and a whole `dual check` at 2**13, 8191 or 89**2 takes
+# 2.3-2.9 s in pure Python (2-vCPU host; the cell-by-cell loop took about
+# 6.7 s at 2**12)
 ENUMERATION_GUARD = 2 ** 13
 
 
@@ -116,44 +119,31 @@ def _check_enumeration_guard(p: int, level: int) -> None:
 def perfectness_check(p: int, level: int) -> PerfectnessReport:
     """Brute-force verification that the level-n pairing is perfect.
 
-    Nondegeneracy is checked element by element through the public `pair`.
-    Bilinearity runs as the kernel scan over every pair (z, gamma): each
-    pair is checked for the successor step in both slots, which implies
-    full additivity by induction and keeps the exhaustion quadratic.
+    One kernel scan walks every pair (z, gamma) of the table.  Each pair is
+    checked for the successor step in both slots, which implies full
+    additivity by induction and keeps the exhaustion quadratic; the same
+    rows give every residue z != 0 pairing to zero with all of the torsion
+    (left degeneracy) and every torsion element c/p^n != 0 paired to zero
+    by all residues (right degeneracy).  Counterexamples list the left ones,
+    then the right ones, then the first failing bilinearity triple.
     """
     check_prime(p)
     if level < 0:
         raise DomainError(f"level must be nonnegative, got {level}")
     _check_enumeration_guard(p, level)
     modulus = p ** level
-    counterexamples = []
-    left = True
-    right = True
-    if level > 0:
-        torsion = [
-            prufer_image(Fraction(c, modulus), p) for c in range(modulus)
-        ]
-        residues = [padic_from_integer(z, p, level) for z in range(modulus)]
-        for z in range(1, modulus):
-            # search for a torsion element this residue pairs nontrivially with
-            if not any(pair(residues[z], g) != CIRCLE_ZERO for g in torsion):
-                left = False
-                counterexamples.append(("left", z))
-        for g in torsion[1:]:
-            # search for a residue pairing nontrivially with this element
-            if not any(pair(z_adic, g) != CIRCLE_ZERO for z_adic in residues):
-                right = False
-                counterexamples.append(("right", str(g)))
-    failure = kernels.bilinear_scan(p, level)
-    bilinear = failure is None
+    zero_rows, zero_columns, failure = kernels.bilinear_scan(p, level)
+    counterexamples = [("left", z) for z in zero_rows]
+    counterexamples += [("right", str(prufer_image(Fraction(c, modulus), p)))
+                        for c in zero_columns]
     if failure is not None:
         counterexamples.append(failure)
     return PerfectnessReport(
         p=p,
         level=level,
         modulus=modulus,
-        left_nondegenerate=left,
-        right_nondegenerate=right,
-        bilinear=bilinear,
+        left_nondegenerate=not zero_rows,
+        right_nondegenerate=not zero_columns,
+        bilinear=failure is None,
         counterexamples=tuple(counterexamples),
     )

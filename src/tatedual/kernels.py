@@ -5,14 +5,16 @@ mul and inv are each one big-integer operation, and `to_int`/`from_int`
 convert to and from the little-endian base-p digit form used for input and
 output.
 
-`bilinear_scan` is the exhaustive check behind the finite-level perfectness
-report.  It checks one whole row z of the m x m table per step, with the row
-packed into one int: lane c, W = 3b + 2 bits wide (b = m.bit_length()),
-holds z*c mod m.  A row is reduced in all lanes at once by a Barrett step:
-multiply by r = floor(4**b / m), shift right by 2b and mask each lane to get
-the quotient q, subtract q*m; a conditional subtraction of m finishes.  That
+`bilinear_scan` is the one exhaustive pass behind the finite-level
+perfectness report: it decides bilinearity and both nondegeneracies.  It
+takes one whole row z of the m x m table per step, with the row packed into
+one int: lane c, W = 3b + 2 bits wide (b = m.bit_length()), holds z*c mod m.
+A row is reduced in all lanes at once by a Barrett step: multiply by
+r = floor(4**b / m), shift right by 2b and mask each lane to get the
+quotient q, subtract q*m; a conditional subtraction of m finishes.  That
 subtraction sets a guard bit at the top of every lane, subtracts m
-everywhere, and reads which lanes borrowed off the guard bits.
+everywhere, and reads which lanes borrowed off the guard bits; subtracting 1
+instead of m reads which lanes are zero.
 """
 
 from __future__ import annotations
@@ -95,46 +97,61 @@ class _Lanes:
         return x - (at_least_m >> self.width - 1) * self.m
 
 
-def _first_lane(a, b, width):
-    """The lowest lane where the packed ints a and b differ, None if equal."""
-    d = a ^ b
-    return ((d & -d).bit_length() - 1) // width if d else None
+def _lanes_set(x, width):
+    """The lanes of the packed int x holding a nonzero value, lowest first."""
+    while x:
+        low = x & -x
+        yield (low.bit_length() - 1) // width
+        x ^= low
 
 
 def bilinear_scan(p, level):
-    """Exhaustively check the level-n pairing for additivity in both slots.
+    """Exhaustively check the level-n pairing for additivity in both slots
+    and for zero rows and columns.
 
     Every pair (z, c) in (Z/p^n)^2 is checked for the successor step
     z -> z+1 (first slot) and c -> c+1 (second slot); by induction that is
-    full bilinearity.  Returns None on success, otherwise the first failing
-    (slot, z, c) triple, in z-major then c order with the first slot's
-    check before the second's in each cell.
+    full bilinearity.  Returns (zero_rows, zero_columns, failure): the
+    z != 0 and the c != 0 whose row or column of z*c vanishes (left and
+    right degeneracy), and None or the first failing (slot, z, c) triple,
+    in z-major then c order with the first slot's check before the
+    second's in each cell.  A failure does not stop the scan.
 
     A whole row z is checked per step, packed as `_Lanes`: row z is built
     from z alone as z*C (lane c of C holds c) reduced mod m.  The first
     slot compares row z+1 with row z + row 1 mod m; the second compares row
     z shifted down one lane with row z + z in every lane mod m (both top
     lanes are z*m mod m = 0).  Each comparison sets two independent routes
-    against each other, as the cell-by-cell loop does.
+    against each other, as the cell-by-cell loop does.  A column is zero
+    when its lane is zero in the OR of all rows.
     """
     m = p ** level
     if m == 1:
-        return None
+        return (), (), None
     lanes = _Lanes(m)
     counting, ones, width = lanes.counting(), lanes.ones, lanes.width
     reduce, wrap = lanes.reduce, lanes.wrap
     row_one = reduce(counting)
     row = reduce(0)
+    zero_rows, seen, failure = [], 0, None
     for z in range(m):
         following = reduce((z + 1) % m * counting)
         first_slot = wrap(row + row_one)
         second_slot = wrap(row + z * ones)
         shifted = row >> width
-        if following != first_slot or shifted != second_slot:
-            c_first = _first_lane(following, first_slot, width)
-            c_second = _first_lane(shifted, second_slot, width)
+        if failure is None and (following != first_slot or shifted != second_slot):
+            c_first = next(_lanes_set(following ^ first_slot, width), None)
+            c_second = next(_lanes_set(shifted ^ second_slot, width), None)
             if c_second is None or (c_first is not None and c_first <= c_second):
-                return ("z-additivity", z, c_first)
-            return ("gamma-additivity", z, c_second)
+                failure = ("z-additivity", z, c_first)
+            else:
+                failure = ("gamma-additivity", z, c_second)
+        if not row and z:
+            zero_rows.append(z)
+        seen |= row
         row = following
-    return None
+    # each lane of seen is below m, so its guard bit survives subtracting 1
+    # exactly when the lane is nonzero
+    zero_lanes = (((seen | lanes.guard) - ones) & lanes.guard) ^ lanes.guard
+    zero_columns = tuple(c for c in _lanes_set(zero_lanes, width) if c)
+    return tuple(zero_rows), zero_columns, failure

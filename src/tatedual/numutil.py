@@ -122,16 +122,6 @@ def check_prime(p: int) -> None:
     _VERIFIED_PRIMES.add(p)
 
 
-def is_prime(n: int) -> bool:
-    if n in _VERIFIED_PRIMES:
-        return True
-    if n < 2:
-        return False
-    if n < _MR_EXACT_BELOW:
-        return _miller_rabin(n)
-    return smallest_factor(n) == n
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: multiplicity}.
 

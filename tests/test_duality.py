@@ -1,11 +1,15 @@
 """The finite-level pairing: values, bilinearity, nondegeneracy, and the
-double-dual evaluation identity."""
+double-dual evaluation identity; the scan's nondegeneracy flags against a
+search through the public `pair`."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tatedual import duality
 from tatedual.duality import (
     CIRCLE_ZERO,
     CircleElement,
@@ -15,6 +19,7 @@ from tatedual.duality import (
 )
 from tatedual.errors import DomainError, PrecisionError
 from tatedual.gamma import PruferElement, prufer_add, prufer_image
+from tatedual.numutil import smallest_factor
 from tatedual.padic import PAdicInt, padic_from_integer
 
 
@@ -143,6 +148,54 @@ def test_perfectness_guard():
         perfectness_check(2, 21)
     with pytest.raises(DomainError):
         perfectness_check(2, -1)
+
+
+def pair_nondegeneracy(p, level):
+    """(left, right) nondegeneracy at level >= 1, searched element by element
+    through `pair`: every residue z != 0 and every torsion element g != 0
+    needs a partner it pairs with nontrivially."""
+    modulus = p ** level
+    torsion = [prufer_image(F(c, modulus), p) for c in range(modulus)]
+    residues = [padic_from_integer(z, p, level) for z in range(modulus)]
+    left = all(any(pair(z, g) != CIRCLE_ZERO for g in torsion) for z in residues[1:])
+    right = all(any(pair(z, g) != CIRCLE_ZERO for z in residues) for g in torsion[1:])
+    return left, right
+
+
+def nondegeneracy(report):
+    return report.left_nondegenerate, report.right_nondegenerate
+
+
+@settings(deadline=None, max_examples=10)
+@given(case=st.sampled_from(
+    [(p, k) for p in (2, 3, 5, 7) for k in range(1, 13) if p ** k <= 4096]))
+def test_scan_nondegeneracy_matches_pair_search(case):
+    assert nondegeneracy(perfectness_check(*case)) == pair_nondegeneracy(*case)
+
+
+@settings(deadline=None, max_examples=5)
+@given(p=st.sampled_from([n for n in range(11, 2048) if smallest_factor(n) == n]))
+def test_scan_nondegeneracy_matches_pair_search_at_large_primes(p):
+    assert nondegeneracy(perfectness_check(p, 1)) == pair_nondegeneracy(p, 1)
+
+
+def test_perfect_table_pairs_nothing_and_builds_no_elements(monkeypatch):
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(duality, "pair", counted("pair", duality.pair))
+    for cls in (PAdicInt, PruferElement):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+    assert perfectness_check(3, 5).perfect
+    assert calls == []
+    # the counters are live: one pairing by hand trips all three
+    duality.pair(padic_from_integer(1, 3, 1), PruferElement(3, 1, 1))
+    assert calls == ["PAdicInt", "PruferElement", "pair"]
 
 
 def test_circle_element_validation_and_addition():

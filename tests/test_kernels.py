@@ -1,7 +1,7 @@
 """Residue-kernel tests: the ring operations against a big-integer oracle,
 the digit/integer round trip, and the exhaustive pairing scan: its packed
 rows lane by lane, and its results against the cell-by-cell loop, also
-with one lane corrupted."""
+with one lane corrupted, one row zeroed or one column zeroed."""
 
 import random
 
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tatedual import kernels
+from tatedual.duality import perfectness_check
 from tatedual.errors import DomainError
 from tatedual.numutil import smallest_factor
 from tatedual.padic import PAdicInt, arithmetic, padic_from_integer
@@ -104,12 +105,12 @@ def test_digits_roundtrip_through_every_result(case):
 @settings(deadline=None)
 @given(p=st.sampled_from((2, 3, 5)), level=st.integers(min_value=0, max_value=3))
 def test_bilinear_scan_passes_small_levels(p, level):
-    assert kernels.bilinear_scan(p, level) is None
+    assert kernels.bilinear_scan(p, level) == ((), (), None)
 
 
 def test_bilinear_scan_passes_listed_levels():
     for p, level in [(2, 5), (3, 3), (5, 2), (7, 1), (2, 0)]:
-        assert kernels.bilinear_scan(p, level) is None
+        assert kernels.bilinear_scan(p, level) == ((), (), None)
 
 
 def loop_scan(p, level):
@@ -145,13 +146,13 @@ def small_prime_levels(bound):
 @settings(deadline=None, max_examples=10)
 @given(case=st.sampled_from(small_prime_levels(4096)))
 def test_packed_scan_matches_loop(case):
-    assert kernels.bilinear_scan(*case) == loop_scan(*case)
+    assert kernels.bilinear_scan(*case) == ((), (), loop_scan(*case))
 
 
 @settings(deadline=None, max_examples=5)
 @given(p=st.sampled_from([n for n in range(11, 2048) if smallest_factor(n) == n]))
 def test_packed_scan_matches_loop_at_large_primes(p):
-    assert kernels.bilinear_scan(p, 1) == loop_scan(p, 1)
+    assert kernels.bilinear_scan(p, 1) == ((), (), loop_scan(p, 1))
 
 
 # m just below, at and just above powers of two, and the largest moduli under
@@ -187,7 +188,14 @@ def test_reduce_takes_every_lane_below_4_to_the_b(m, data):
 
 
 def table_scan(table, m):
-    """The loop's order and checks, reading row z's lane c from table[z][c]."""
+    """The scan's (zero rows, zero columns, first failing triple), with the
+    loop's order and checks, reading row z's lane c from table[z][c]."""
+    zero_rows = tuple(z for z in range(1, m) if not any(table[z]))
+    zero_columns = tuple(c for c in range(1, m) if not any(row[c] for row in table))
+    return zero_rows, zero_columns, first_failure(table, m)
+
+
+def first_failure(table, m):
     for z in range(m):
         z1 = (z + 1) % m
         for c in range(m):
@@ -205,18 +213,26 @@ def reduced_rows(m):
     return [unpack(lanes.reduce(z * lanes.counting()), lanes) for z in range(m)]
 
 
-def corrupt_lane(monkeypatch, m, z0, c0):
-    """Make the reduction return row z0 with lane c0 moved up by one mod m."""
+def edit_rows(monkeypatch, edit):
+    """Make the reduction of z*C return edit(lanes, z, row) for its row."""
     reduce = kernels._Lanes.reduce
 
-    def corrupted(self, x):
-        row = reduce(self, x)
-        if x == z0 * self.counting():
-            old = row >> self.width * c0 & (1 << self.width) - 1
-            row += ((old + 1) % m - old) << self.width * c0
+    def edited(self, x):
+        return edit(self, x // self.counting(), reduce(self, x))
+
+    monkeypatch.setattr(kernels._Lanes, "reduce", edited)
+
+
+def corrupt_lane(monkeypatch, m, z0, c0):
+    """Make the reduction return row z0 with lane c0 moved up by one mod m."""
+
+    def corrupted(lanes, z, row):
+        if z == z0:
+            old = row >> lanes.width * c0 & (1 << lanes.width) - 1
+            row += ((old + 1) % m - old) << lanes.width * c0
         return row
 
-    monkeypatch.setattr(kernels._Lanes, "reduce", corrupted)
+    edit_rows(monkeypatch, corrupted)
 
 
 @pytest.mark.parametrize(
@@ -225,15 +241,15 @@ def corrupt_lane(monkeypatch, m, z0, c0):
         (3, 4, 40, 17, ("z-additivity", 39, 17)),
         (2, 6, 63, 0, ("z-additivity", 62, 0)),
         (7, 2, 0, 5, ("gamma-additivity", 0, 4)),  # row 0 fails its own shift first
-        (5, 2, 1, 3, ("gamma-additivity", 1, 2)),  # row 1 is also the z-step's addend
+        (5, 2, 1, 3, ("gamma-additivity", 1, 2)),  # row 0's z-step adds row 1 to 0 and holds
         (2, 3, 2, 7, ("z-additivity", 1, 7)),
     ],
 )
 def test_mismatch_returns_the_loops_first_failing_cell(monkeypatch, p, level, z0, c0, expected):
     m = p ** level
     corrupt_lane(monkeypatch, m, z0, c0)
-    assert table_scan(reduced_rows(m), m) == expected
-    assert kernels.bilinear_scan(p, level) == expected
+    assert table_scan(reduced_rows(m), m) == ((), (), expected)
+    assert kernels.bilinear_scan(p, level) == ((), (), expected)
 
 
 @settings(deadline=None, max_examples=30)
@@ -243,4 +259,52 @@ def test_any_corrupted_lane_gives_the_table_loops_triple(case, data):
     z0, c0 = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
     with pytest.MonkeyPatch.context() as monkeypatch:
         corrupt_lane(monkeypatch, m, z0, c0)
-        assert kernels.bilinear_scan(*case) == table_scan(reduced_rows(m), m) is not None
+        table = table_scan(reduced_rows(m), m)
+        assert table[2] is not None
+        assert kernels.bilinear_scan(*case) == table
+
+
+@pytest.mark.parametrize(
+    "p, level, z0, right, expected",
+    [
+        (3, 2, 4, True, (("left", 4), ("z-additivity", 3, 1))),
+        (2, 4, 15, True, (("left", 15), ("z-additivity", 14, 1))),
+        # row 1 is row 0's z-step addend too, so that step holds and row 1's shift fails
+        (7, 1, 1, True, (("left", 1), ("gamma-additivity", 1, 0))),
+        # at m = 2 the zeroed row holds the only nonzero lane, so column 1 goes too
+        (2, 1, 1, False, (("left", 1), ("right", "1/2^1"), ("gamma-additivity", 1, 0))),
+    ],
+)
+def test_zero_row_is_a_left_counterexample(monkeypatch, p, level, z0, right, expected):
+    m = p ** level
+    edit_rows(monkeypatch, lambda lanes, z, row: 0 if z == z0 else row)
+    zero_columns = () if right else (1,)
+    assert table_scan(reduced_rows(m), m) == ((z0,), zero_columns, expected[-1])
+    assert kernels.bilinear_scan(p, level) == ((z0,), zero_columns, expected[-1])
+    report = perfectness_check(p, level)
+    assert (report.left_nondegenerate, report.right_nondegenerate, report.bilinear) == (
+        False, right, False)
+    assert report.counterexamples == expected
+
+
+@pytest.mark.parametrize(
+    "p, level, c0, expected",
+    [
+        (2, 4, 4, (("right", "1/2^2"), ("gamma-additivity", 1, 3))),
+        (3, 3, 1, (("right", "1/3^3"), ("gamma-additivity", 1, 0))),
+        (5, 2, 24, (("right", "24/5^2"), ("gamma-additivity", 1, 23))),
+    ],
+)
+def test_zero_column_is_a_right_counterexample(monkeypatch, p, level, c0, expected):
+    m = p ** level
+
+    def zero_lane(lanes, z, row):
+        return row & ~((1 << lanes.width) - 1 << lanes.width * c0)
+
+    edit_rows(monkeypatch, zero_lane)
+    assert table_scan(reduced_rows(m), m) == ((), (c0,), expected[-1])
+    assert kernels.bilinear_scan(p, level) == ((), (c0,), expected[-1])
+    report = perfectness_check(p, level)
+    assert (report.left_nondegenerate, report.right_nondegenerate, report.bilinear) == (
+        True, False, False)
+    assert report.counterexamples == expected

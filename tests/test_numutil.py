@@ -16,11 +16,16 @@ from tatedual.errors import DomainError
 from tatedual.numutil import (
     check_prime,
     factorize,
-    is_prime,
     prime_to_part,
     smallest_factor,
     split_power,
 )
+
+
+def miller_rabin_prime(n):
+    """Exact primality below numutil._MR_EXACT_BELOW; n >= 2 comes first
+    because `_miller_rabin` never returns at n = 1."""
+    return n >= 2 and numutil._miller_rabin(n)
 
 
 def trial_division(n):
@@ -34,7 +39,7 @@ def trial_division(n):
 def test_largest_63_bit_prime_accepted():
     p = 9223372036854775783  # the largest prime below 2**63
     check_prime(p)
-    assert is_prime(p)
+    assert miller_rabin_prime(p)
 
 
 @pytest.mark.parametrize(
@@ -48,20 +53,20 @@ def test_largest_63_bit_prime_accepted():
 )
 def test_strong_pseudoprimes_rejected_with_smallest_factor(n, factor):
     assert smallest_factor(n) == factor
-    assert not is_prime(n)
+    assert not miller_rabin_prime(n)
     with pytest.raises(DomainError) as info:
         check_prime(n)
     assert str(info.value) == f"p={n} is not prime (divisible by {factor})"
 
 
-def test_is_prime_agrees_with_trial_division_below_2e5():
+def test_miller_rabin_agrees_with_trial_division_below_2e5():
     for n in range(2 * 10 ** 5):
-        assert is_prime(n) == (n >= 2 and smallest_factor(n) == n), n
+        assert miller_rabin_prime(n) == (n >= 2 and smallest_factor(n) == n), n
 
 
 def test_rho_agrees_with_trial_division_on_word_sized_composites():
     rng = random.Random(53)
-    primes = [n for n in range(1025, 40000) if is_prime(n)]
+    primes = [n for n in range(1025, 40000) if miller_rabin_prime(n)]
     cases = [4611685975477714963, 2147483647 ** 2, 1031 ** 3, 16777259 * 33554467]
     for _ in range(200):
         cases.append(rng.choice(primes) * rng.choice(primes) * rng.randrange(1, 1000))
@@ -69,7 +74,7 @@ def test_rho_agrees_with_trial_division_on_word_sized_composites():
         factors = factorize(n)
         prod = 1
         for f, e in factors.items():
-            assert is_prime(f)
+            assert miller_rabin_prime(f)
             prod *= f ** e
         assert prod == n
         assert smallest_factor(n) == min(factors)
@@ -132,7 +137,7 @@ def test_factorize_gives_rho_no_cofactor_twice(monkeypatch, n, large_primes):
     monkeypatch.setattr(numutil, "_rho_divisor", counted)
     factors = factorize(n)
     assert math.prod(f ** e for f, e in factors.items()) == n
-    assert all(is_prime(f) for f in factors)
+    assert all(miller_rabin_prime(f) for f in factors)
     # every prime past trial division leaves with all its powers at once
     assert len(set(calls)) == len(calls) <= large_primes
 
