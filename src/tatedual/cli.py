@@ -267,10 +267,43 @@ def _cmd_dual_check(ns):
     }
 
 
-def _padic_flags(parser):
-    parser.add_argument("--p", type=int, required=True, help="prime")
-    parser.add_argument("--prec", type=int, default=None, help="precision N")
-    parser.add_argument("--q", help="integer or digit list [c0,c1,...]")
+# every flag is declared once; a command lists the flags it takes, in order
+_FLAGS = {
+    "--p": dict(type=int, required=True, help="prime"),
+    "--prec": dict(type=int, help="precision N"),
+    "--q": dict(help="integer or digit list [c0,c1,...]"),
+    "--op": dict(required=True, choices=list(padic.ARITHMETIC_OPS)),
+    "--x": dict(required=True, help="integer or digit list"),
+    "--y": dict(help="second operand where needed"),
+    "--target": dict(required=True, help="rational a/b"),
+    "--epsilon": dict(required=True, help="positive rational a/b"),
+    "--desc": dict(required=True, help="descriptor, e.g. 'sizes=2,4,8' or 'sizes=;tail=2'"),
+    "--n": dict(required=True, help="supernatural, e.g. 2^inf*3^2"),
+    "--n2": dict(required=True),
+    "--z": dict(required=True, help="integer or digit list"),
+    "--gamma": dict(required=True, help="torsion element a/p^n"),
+    "--level": dict(type=int, required=True),
+    "--json": dict(action="store_true", help="emit one JSON document"),
+}
+_PADIC = ("--p", "--prec", "--q")
+
+# (group, subcommand, handler, flags), in the order the parsers are built
+_COMMANDS = (
+    ("padic", "canon", _cmd_padic_canon, _PADIC),
+    ("padic", "arith", _cmd_padic_arith, ("--op", "--p", "--prec", "--x", "--y")),
+    ("gamma", "gens", _cmd_gamma_gens, _PADIC),
+    ("gamma", "group", _cmd_gamma_group, _PADIC),
+    ("gamma", "prufer-check", _cmd_gamma_prufer_check, _PADIC),
+    ("gamma", "contains-one", _cmd_gamma_contains_one, _PADIC),
+    ("gamma", "density", _cmd_gamma_density, _PADIC + ("--target", "--epsilon")),
+    ("gamma", "limit", _cmd_gamma_limit, _PADIC),
+    ("uhf", "k0", _cmd_uhf_k0, ("--desc",)),
+    ("uhf", "stable-iso", _cmd_uhf_stable_iso, ("--n", "--n2")),
+    ("uhf", "from-tate", _cmd_uhf_from_tate, _PADIC),
+    ("tate", "coeffs", _cmd_tate_coeffs, _PADIC),
+    ("dual", "pair", _cmd_dual_pair, ("--p", "--prec", "--z", "--gamma")),
+    ("dual", "check", _cmd_dual_check, ("--p", "--level")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,72 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact p-adic / Tate-curve / UHF-duality computations.",
     )
     groups = root.add_subparsers(dest="group", required=True)
-
-    def sub(group, name, handler, configure):
-        p = group.add_parser(name)
-        configure(p)
-        p.add_argument("--json", action="store_true", help="emit one JSON document")
-        p.set_defaults(handler=handler)
-        return p
-
-    g_padic = groups.add_parser("padic").add_subparsers(dest="sub", required=True)
-    sub(g_padic, "canon", _cmd_padic_canon, _padic_flags)
-
-    def arith_flags(p):
-        p.add_argument("--op", required=True, choices=["add", "neg", "mul", "invert"])
-        p.add_argument("--p", type=int, required=True)
-        p.add_argument("--prec", type=int, default=None)
-        p.add_argument("--x", required=True, help="integer or digit list")
-        p.add_argument("--y", default=None, help="second operand where needed")
-
-    sub(g_padic, "arith", _cmd_padic_arith, arith_flags)
-
-    g_gamma = groups.add_parser("gamma").add_subparsers(dest="sub", required=True)
-    sub(g_gamma, "gens", _cmd_gamma_gens, _padic_flags)
-    sub(g_gamma, "group", _cmd_gamma_group, _padic_flags)
-    sub(g_gamma, "prufer-check", _cmd_gamma_prufer_check, _padic_flags)
-    sub(g_gamma, "contains-one", _cmd_gamma_contains_one, _padic_flags)
-
-    def density_flags(p):
-        _padic_flags(p)
-        p.add_argument("--target", required=True, help="rational a/b")
-        p.add_argument("--epsilon", required=True, help="positive rational a/b")
-
-    sub(g_gamma, "density", _cmd_gamma_density, density_flags)
-    sub(g_gamma, "limit", _cmd_gamma_limit, _padic_flags)
-
-    g_uhf = groups.add_parser("uhf").add_subparsers(dest="sub", required=True)
-    sub(
-        g_uhf, "k0", _cmd_uhf_k0,
-        lambda p: p.add_argument("--desc", required=True,
-                                 help="descriptor, e.g. 'sizes=2,4,8' or 'sizes=;tail=2'"),
-    )
-
-    def iso_flags(p):
-        p.add_argument("--n", required=True, help="supernatural, e.g. 2^inf*3^2")
-        p.add_argument("--n2", required=True)
-
-    sub(g_uhf, "stable-iso", _cmd_uhf_stable_iso, iso_flags)
-    sub(g_uhf, "from-tate", _cmd_uhf_from_tate, _padic_flags)
-
-    g_tate = groups.add_parser("tate").add_subparsers(dest="sub", required=True)
-    sub(g_tate, "coeffs", _cmd_tate_coeffs, _padic_flags)
-
-    g_dual = groups.add_parser("dual").add_subparsers(dest="sub", required=True)
-
-    def pair_flags(p):
-        p.add_argument("--p", type=int, required=True)
-        p.add_argument("--prec", type=int, default=None)
-        p.add_argument("--z", required=True, help="integer or digit list")
-        p.add_argument("--gamma", required=True, help="torsion element a/p^n")
-
-    sub(g_dual, "pair", _cmd_dual_pair, pair_flags)
-
-    def check_flags(p):
-        p.add_argument("--p", type=int, required=True)
-        p.add_argument("--level", type=int, required=True)
-
-    sub(g_dual, "check", _cmd_dual_check, check_flags)
+    subs = {}
+    for group, name, handler, flags in _COMMANDS:
+        if group not in subs:
+            subs[group] = groups.add_parser(group).add_subparsers(dest="sub", required=True)
+        parser = subs[group].add_parser(name)
+        for flag in flags + ("--json",):
+            parser.add_argument(flag, **_FLAGS[flag])
+        parser.set_defaults(handler=handler)
     return root
 
 

@@ -23,8 +23,7 @@ from .padic import PAdicInt
 
 # the scan visits modulus**2 cells, one packed row of them per step: 2**13
 # admits 2**26 cells, and a whole `dual check` at 2**13, 8191 or 89**2 takes
-# 2.3-2.9 s in pure Python (2-vCPU host; the cell-by-cell loop took about
-# 6.7 s at 2**12)
+# 2.3-2.9 s in pure Python on a 2-vCPU host
 ENUMERATION_GUARD = 2 ** 13
 
 

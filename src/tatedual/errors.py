@@ -40,6 +40,18 @@ def digits_past_limit(n: int) -> int:
     return digits if digits > limit else 0
 
 
+def parse_int(literal: str) -> int:
+    """int(literal) for a literal of decimal digits; one longer than the
+    str-to-int limit is a DomainError naming its length."""
+    try:
+        return int(literal)
+    except ValueError:
+        raise DomainError(
+            f"an input integer has {len(literal.lstrip('-'))} decimal digits, over "
+            f"the str-to-int limit of {int_str_limit()} (sys.get_int_max_str_digits())"
+        ) from None
+
+
 def shown(x) -> str:
     """An int or Fraction as message text; a numerator or denominator too
     long for str() is named by its decimal digit count, as `<D digits>`."""

@@ -8,6 +8,7 @@ operations are exact mod p**N and never extend precision on their own.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -177,31 +178,26 @@ def padic_from_integer(m: int, p: int, n: int) -> PAdicInt:
     return PAdicInt._residue(p, m % p ** n, n)
 
 
-# op name -> arity
-_ARITHMETIC_OPS = {"add": 2, "neg": 1, "mul": 2, "invert": 1}
+# op name -> (arity, operation); methodcaller looks `inverse` up per call
+ARITHMETIC_OPS = {
+    "add": (2, operator.add),
+    "neg": (1, operator.neg),
+    "mul": (2, operator.mul),
+    "invert": (1, operator.methodcaller("inverse")),
+}
 
 
 def arithmetic(op: str, x: PAdicInt, y: PAdicInt | None = None) -> PAdicInt:
     """Dispatch one ring operation by name: add, neg, mul, or invert."""
-    if op not in _ARITHMETIC_OPS:
+    if op not in ARITHMETIC_OPS:
         raise DomainError(f"unknown operation {op!r}; expected one of "
-                          f"{sorted(_ARITHMETIC_OPS)}")
-    arity = _ARITHMETIC_OPS[op]
+                          f"{sorted(ARITHMETIC_OPS)}")
+    arity, operation = ARITHMETIC_OPS[op]
     if arity == 2 and y is None:
         raise DomainError(f"operation {op!r} needs a second operand")
     if arity == 1 and y is not None:
         raise DomainError(f"operation {op!r} takes a single operand")
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "neg":
-        return -x
-    return x.inverse()
-
-
-def valuation(x: PAdicInt):
-    return x.valuation()
+    return operation(x, y) if arity == 2 else operation(x)
 
 
 def prefix_residues(x: PAdicInt):

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, parse_int
 from .numutil import check_prime, factorize, split_power
 
 INF = float("inf")  # exponent marker; compared against ints, never summed
@@ -181,9 +181,9 @@ def parse_supernatural(text: str) -> SupernaturalNumber:
         m = _FACTOR_RE.match(part.strip())
         if m is None:
             raise DomainError(f"malformed supernatural factor: {part!r}")
-        p = int(m.group(1))
+        p = parse_int(m.group(1))
         raw = m.group(2)
-        e: int | float = 1 if raw is None else (INF if raw == "inf" else int(raw))
+        e: int | float = 1 if raw is None else (INF if raw == "inf" else parse_int(raw))
         if e == 0:
             continue
         if p in exps:

@@ -444,6 +444,36 @@ def test_stable_iso_witness_of_30_million_digits_is_counted_fast(capsys):
     assert elapsed < 2.0
 
 
+_D = "1" + "0" * 4999  # 5000 digits, past the default str-to-int limit of 4300
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("dual", "pair", "--p", "3", "--z", "1", "--prec", "3", "--gamma", _D),
+                     id="dual-pair-gamma-D"),
+        pytest.param(("dual", "pair", "--p", "3", "--z", "1", "--prec", "3",
+                      "--gamma", f"1/{_D}"), id="dual-pair-gamma-1-over-D"),
+        pytest.param(("dual", "pair", "--p", "3", "--z", "1", "--prec", "3",
+                      "--gamma", f"1/3^{_D}"), id="dual-pair-gamma-1-over-3-to-the-D"),
+        pytest.param(("uhf", "stable-iso", "--n", _D, "--n2", "1"), id="stable-iso-n-D"),
+        pytest.param(("uhf", "stable-iso", "--n", f"2^{_D}", "--n2", "1"),
+                     id="stable-iso-n-2-to-the-D"),
+    ],
+)
+def test_input_integer_past_str_to_int_limit_is_a_domain_error(capsys, argv):
+    # int() on such a literal raised ValueError out of run, with no exit code
+    code, doc, elapsed = _timed_json(capsys, *argv)
+    assert code == 3
+    assert doc["status"] == "error"
+    assert doc["result"] is None
+    assert doc["diagnostics"] == [
+        f"an input integer has 5000 decimal digits, over the str-to-int limit "
+        f"of {sys.get_int_max_str_digits()} (sys.get_int_max_str_digits())"
+    ]
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize(
     "argv, command, diagnostic",
     [

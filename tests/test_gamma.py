@@ -378,11 +378,13 @@ def test_supernatural_limit_rejections():
 #
 # The oracles below rebuild each object from Fractions the way the package
 # did before it read everything off the running gcd G_n = gcd(p*G_{n-1}, a_n)
-# and the digits of q.  Their hulls come from the certified
-# hull_with_coefficients, so they share no code with cyclic_hull.
+# and the digits of q.  Their hulls scale every generator to the common
+# denominator d and take gcd(d*g)/d, so they share no code with cyclic_hull.
 
 def oracle_hull(gens):
-    return hull_with_coefficients(gens)[0]
+    d = math.lcm(*(g.denominator for g in gens))
+    return CyclicSubgroupQ(Fraction(math.gcd(*(g.numerator * (d // g.denominator)
+                                               for g in gens)), d))
 
 
 def oracle_gamma_group(q):
