@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import duality, gamma, padic, supernatural, tate
-from .errors import DomainError, digits_past_limit, int_str_limit
+from .errors import DomainError, check_literals, printable
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -107,24 +107,14 @@ def _parse_q(ns, flag: str = "q") -> padic.PAdicInt:
     return padic.padic_from_integer(value, ns.p, ns.prec)
 
 
-def _printable(*numbers: int) -> None:
-    """Refuse output integers longer than Python converts to text."""
-    for n in numbers:
-        if digits := digits_past_limit(n):
-            raise DomainError(
-                f"an output integer has {digits} decimal digits, over "
-                f"the int-to-str limit of {int_str_limit()} (sys.get_int_max_str_digits())"
-            )
-
-
 def _fraction(x: Fraction) -> str:
-    _printable(x.numerator, x.denominator)
+    printable(x.numerator, x.denominator)
     return str(x)
 
 
 def _residue(x: padic.PAdicInt) -> str:
     # also bounds every a_n <= x.value that a command prints next to it
-    _printable(x.value)
+    printable(x.value)
     return str(x)
 
 
@@ -214,7 +204,6 @@ def _cmd_uhf_stable_iso(ns):
     decision = supernatural.stably_isomorphic(n, n2)
     doc = {"equal": decision.equal}
     if decision.witness is not None:
-        _printable(*decision.witness)
         doc["witness"] = {"r": decision.witness[0], "s": decision.witness[1]}
     return doc
 
@@ -249,7 +238,7 @@ def _cmd_dual_pair(ns):
     z = _parse_q(ns, "z")
     g = gamma.parse_prufer(ns.gamma, ns.p)
     value = duality.pair(z, g)
-    _printable(g.numerator)
+    printable(g.numerator)
     return {"z": _residue(z), "gamma": str(g), "value": _fraction(value.value)}
 
 
@@ -359,6 +348,7 @@ def run(argv: list[str]) -> int:
     outcome = CommandResult(command=command, inputs=_echo_inputs(ns), result=None)
     code = EXIT_OK
     try:
+        check_literals(v for v in vars(ns).values() if isinstance(v, str))
         outcome.result = ns.handler(ns)
     except InputError as exc:
         outcome.status = "error"

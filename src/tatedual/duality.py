@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .errors import DomainError, PrecisionError, digits_past_limit, int_str_limit
+from .errors import DomainError, PrecisionError, shown_power
 from .gamma import PruferElement, prufer_image
 from .numutil import check_prime
 from .padic import PAdicInt
@@ -98,21 +98,12 @@ def bidual_eval(gamma: PruferElement, z: PAdicInt) -> CircleElement:
 
 
 def _check_enumeration_guard(p: int, level: int) -> None:
-    """Reject p**level > ENUMERATION_GUARD without building the power: it
-    may have millions of digits."""
-    modulus = 1
-    for _ in range(level):
-        modulus *= p
-        if modulus > ENUMERATION_GUARD:
-            break
-    else:
-        return
-    shown = f"{p}^{level}"
-    # quoted when str() takes it; a power past 4*limit bits is past 10**limit, never built
-    if level * (p.bit_length() - 1) < 4 * int_str_limit():
-        if not digits_past_limit(modulus := p ** level):
-            shown += f" = {modulus}"
-    raise DomainError(f"enumeration guard exceeded: {shown} > {ENUMERATION_GUARD}")
+    """Reject p**level > ENUMERATION_GUARD before building a power of millions of
+    digits: p >= 2 puts every level from ENUMERATION_GUARD.bit_length() on past it."""
+    if level >= ENUMERATION_GUARD.bit_length() or p ** level > ENUMERATION_GUARD:
+        raise DomainError(
+            f"enumeration guard exceeded: {shown_power(p, level)} > {ENUMERATION_GUARD}"
+        )
 
 
 def perfectness_check(p: int, level: int) -> PerfectnessReport:

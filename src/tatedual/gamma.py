@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, PrecisionError, parse_int, shown
+from .errors import DomainError, PrecisionError, shown
 from .numutil import check_prime, gcd_with_coefficients, prime_to_part, split_power
 from .padic import PAdicInt, prefix_residues
 from .supernatural import INF, SupernaturalNumber
@@ -314,13 +314,8 @@ def parse_prufer(text: str, p: int) -> PruferElement:
     m = _PRUFER_RE.match(text)
     if m is None:
         raise DomainError(f"malformed torsion element: {text!r}")
-    num = parse_int(m.group(1))
-    if m.group(2) is None:
-        den = 1
-    elif m.group(3) is None:
-        den = parse_int(m.group(2))
-    else:
-        den = parse_int(m.group(2)) ** parse_int(m.group(3))
+    num = int(m.group(1))
+    den = int(m.group(2) or 1) ** int(m.group(3) or 1)
     if den == 0:
         raise DomainError(f"zero denominator in {text!r}")
     return prufer_image(Fraction(num, den), p)

@@ -11,11 +11,12 @@ never materialized: membership (`qn_contains`) is its observable behavior.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DomainError, parse_int
+from .errors import DomainError, printable
 from .numutil import check_prime, factorize, split_power
 
 INF = float("inf")  # exponent marker; compared against ints, never summed
@@ -138,18 +139,14 @@ def stably_isomorphic(n: SupernaturalNumber, n2: SupernaturalNumber) -> StableIs
     """
     if n.infinite_support() != n2.infinite_support():
         return StableIsomorphism(equal=False, witness=None)
-    r = 1
-    s = 1
+    r, s = [], []  # the witness as prime powers (p, e)
     for p in sorted(set(n.support()) | set(n2.support())):
-        e1 = n.exponent(p)
-        e2 = n2.exponent(p)
-        if e1 == INF:  # infinite in both; scaling is irrelevant there
-            continue
-        if e1 > e2:
-            r *= p ** (e1 - e2)
-        elif e2 > e1:
-            s *= p ** (e2 - e1)
-    return StableIsomorphism(equal=True, witness=(r, s))
+        e1, e2 = n.exponent(p), n2.exponent(p)
+        if e1 != e2:  # an infinite exponent is infinite in both: no scaling there
+            (r if e1 > e2 else s).append((p, abs(e1 - e2)))
+    printable(r, s)  # sized from the exponents, so a refused witness is never built
+    witness = tuple(math.prod(p ** e for p, e in powers) for powers in (r, s))
+    return StableIsomorphism(equal=True, witness=witness)
 
 
 def uhf_from_tate(q) -> TateUHF:
@@ -181,9 +178,9 @@ def parse_supernatural(text: str) -> SupernaturalNumber:
         m = _FACTOR_RE.match(part.strip())
         if m is None:
             raise DomainError(f"malformed supernatural factor: {part!r}")
-        p = parse_int(m.group(1))
+        p = int(m.group(1))
         raw = m.group(2)
-        e: int | float = 1 if raw is None else (INF if raw == "inf" else parse_int(raw))
+        e: int | float = 1 if raw is None else (INF if raw == "inf" else int(raw))
         if e == 0:
             continue
         if p in exps:

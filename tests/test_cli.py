@@ -1,8 +1,10 @@
 """CLI contract: subcommand coverage, the JSON envelope, and exit codes."""
 
 import json
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -459,10 +461,26 @@ _D = "1" + "0" * 4999  # 5000 digits, past the default str-to-int limit of 4300
         pytest.param(("uhf", "stable-iso", "--n", _D, "--n2", "1"), id="stable-iso-n-D"),
         pytest.param(("uhf", "stable-iso", "--n", f"2^{_D}", "--n2", "1"),
                      id="stable-iso-n-2-to-the-D"),
+        pytest.param(("padic", "canon", "--p", "3", "--prec", "4", "--q", _D),
+                     id="padic-canon-q-D"),
+        pytest.param(("padic", "canon", "--p", "3", "--prec", "2", "--q", f"1,{_D}"),
+                     id="padic-canon-q-digit-list-D"),
+        pytest.param(("padic", "arith", "--op", "add", "--p", "3", "--prec", "4",
+                      "--x", _D, "--y", "1"), id="padic-arith-x-D"),
+        pytest.param(("dual", "pair", "--p", "3", "--prec", "3", "--z", _D, "--gamma", "1/3"),
+                     id="dual-pair-z-D"),
+        pytest.param(("gamma", "density", "--p", "3", "--q", "3", "--prec", "4",
+                      "--target", _D, "--epsilon", "1/2"), id="gamma-density-target-D"),
+        pytest.param(("gamma", "density", "--p", "3", "--q", "3", "--prec", "4",
+                      "--target", "1/2", "--epsilon", f"1/{_D}"),
+                     id="gamma-density-epsilon-1-over-D"),
+        pytest.param(("uhf", "k0", "--desc", f"sizes={_D}"), id="uhf-k0-sizes-D"),
+        pytest.param(("uhf", "k0", "--desc", f"sizes=;tail={_D}"), id="uhf-k0-tail-D"),
     ],
 )
 def test_input_integer_past_str_to_int_limit_is_a_domain_error(capsys, argv):
-    # int() on such a literal raised ValueError out of run, with no exit code
+    # one check of every free-text option before the handler runs; int() on
+    # such a literal raised ValueError, or each parser named it its own way
     code, doc, elapsed = _timed_json(capsys, *argv)
     assert code == 3
     assert doc["status"] == "error"
@@ -472,6 +490,79 @@ def test_input_integer_past_str_to_int_limit_is_a_domain_error(capsys, argv):
         f"of {sys.get_int_max_str_digits()} (sys.get_int_max_str_digits())"
     ]
     assert elapsed < 1.0
+
+
+def test_input_integer_at_the_str_to_int_limit_passes_the_boundary(capsys):
+    q = "1" + "0" * (sys.get_int_max_str_digits() - 1)
+    code, doc, _ = _timed_json(capsys, "padic", "canon", "--p", "3", "--prec", "4", "--q", q)
+    assert code == 0
+    assert doc["result"]["q"] == f"{int(q) % 81} mod 3^4"
+
+
+@pytest.mark.parametrize(
+    "n, digits",
+    [("3^9999999", 4771213), ("2^14285", 4301)],
+)
+def test_stable_iso_witness_is_refused_before_it_is_built(capsys, n, digits):
+    # building 3^9999999 took seconds before its digits were counted
+    code, doc, elapsed = _timed_json(capsys, "uhf", "stable-iso", "--n", n, "--n2", "1")
+    assert code == 3
+    assert doc["diagnostics"][0].startswith(
+        f"an output integer has {digits} decimal digits, over the int-to-str limit"
+    )
+    assert elapsed < 1.0
+
+
+def test_stable_iso_witness_s_past_the_limit_is_refused(capsys):
+    code, doc, _ = _timed_json(capsys, "uhf", "stable-iso", "--n", "5", "--n2", "2^14286")
+    assert code == 3
+    assert doc["diagnostics"][0].startswith("an output integer has 4301 decimal digits")
+
+
+def test_stable_iso_witness_at_the_limit_is_printed(capsys):
+    code, doc, _ = _timed_json(capsys, "uhf", "stable-iso", "--n", "2^14284", "--n2", "1")
+    assert code == 0
+    r = doc["result"]["witness"]["r"]
+    assert len(str(r)) == 4300 and int(r) == 2 ** 14284
+
+
+def test_stable_iso_witness_of_30_billion_digits_fits_in_1_gib():
+    # 2^99999999999 would take 12 GB to build; the child caps its own address
+    # space, so a build fails there with MemoryError instead of filling the host
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from tatedual.cli import run; "
+            "sys.exit(run(['uhf', 'stable-iso', '--n', '2^99999999999', '--n2', '1', '--json']))")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 3, done.stderr
+    doc = _single_error_document(done.stdout, done.stderr)
+    assert doc["diagnostics"][0].startswith("an output integer has 30102999567 decimal digits")
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "level, lifted, default",
+    [
+        ("100000000", "3^100000000", "3^100000000"),
+        ("20", "3^20", "3^20 = 3486784401"),
+    ],
+)
+def test_enumeration_guard_shows_no_power_with_the_limit_lifted(capsys, level, lifted, default):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, doc, elapsed = _timed_json(capsys, "dual", "check", "--p", "3", "--level", level)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 3
+    assert doc["diagnostics"] == [f"enumeration guard exceeded: {lifted} > 8192"]
+    assert elapsed < 1.0
+    code, doc, _ = _timed_json(capsys, "dual", "check", "--p", "3", "--level", level)
+    assert code == 3
+    assert doc["diagnostics"] == [f"enumeration guard exceeded: {default} > 8192"]
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ isomorphism decision."""
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,36 @@ def test_stably_isomorphic_scaling_example():
         assert qn_contains(parse_supernatural("2^inf*3^2"), x * Fraction(r, s))
         y = Fraction(rng.randint(-50, 50), 9 * 2 ** rng.randint(0, 12))
         assert qn_contains(parse_supernatural("2^inf"), y * Fraction(s, r))
+
+
+@pytest.mark.parametrize(
+    "n, n2",
+    [
+        ("2^4299*5^4299", "1"),  # 10^4299, 4300 digits: shown
+        ("2^4300*5^4300", "1"),  # 10^4300, 4301 digits: a log lands on an integer
+        ("2^4300*5^4299", "1"),
+        ("2^4299*5^4300", "1"),
+        ("2^inf*3^9012", "2^inf"),  # 4300 digits
+        ("2^inf*3^9013", "2^inf"),  # 4301 digits
+        ("7", "2^14284*3*7^2"),  # r = 1, s of 4301 digits
+        ("2^14284*7^2", "3^5*7"),
+    ],
+)
+def test_witness_is_sized_from_its_exponents(n, n2):
+    a, b = parse_supernatural(n), parse_supernatural(n2)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        witness = stably_isomorphic(a, b).witness
+        counts = [len(str(x)) for x in witness]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    past = [c for c in counts if c > limit]
+    if past:
+        with pytest.raises(DomainError, match=f"^an output integer has {past[0]} decimal"):
+            stably_isomorphic(a, b)
+    else:
+        assert stably_isomorphic(a, b).witness == witness
 
 
 def test_distinct_infinite_parts_never_scale_together():
