@@ -81,14 +81,16 @@ def _parse_fraction(text: str, what: str) -> Fraction:
 
 def _parse_q(ns, flag: str = "q") -> padic.PAdicInt:
     """Build the p-adic operand from --p/--prec and an integer or a digit
-    list like `[0,1,0,0]` (or `0,1,0,0`)."""
+    list like `[0,1,0,0]`, `[5]` (a bracketed text is always a list) or
+    `0,1,0,0`."""
     raw = getattr(ns, flag)
     if raw is None:
         raise InputError(f"--{flag} is required")
     text = raw.strip()
-    if text.startswith("[") and text.endswith("]"):
+    bracketed = text.startswith("[") and text.endswith("]")
+    if bracketed:
         text = text[1:-1]
-    if "," in text:
+    if bracketed or "," in text:
         try:
             digits = tuple(int(s) for s in text.split(","))
         except ValueError:

@@ -39,9 +39,6 @@ class CircleElement:
         if not 0 <= self.value < 1:
             raise DomainError(f"circle values live in [0, 1); got {self.value}")
 
-    def __add__(self, other: CircleElement) -> CircleElement:
-        return CircleElement((self.value + other.value) % 1)
-
     def __str__(self):
         return str(self.value)
 
@@ -79,22 +76,6 @@ def pair(z: PAdicInt, gamma: PruferElement) -> CircleElement:
     modulus = gamma.p ** gamma.level
     z_mod = z.value % modulus
     return CircleElement(Fraction(z_mod * gamma.numerator, modulus) % 1)
-
-
-def bidual_eval(gamma: PruferElement, z: PAdicInt) -> CircleElement:
-    """Evaluation of the double-dual element attached to gamma on the
-    character z, computed through exact rational arithmetic; agreement
-    with `pair` is asserted by the test suite, not assumed here."""
-    if z.p != gamma.p:
-        raise DomainError(f"prime mismatch: z at p={z.p}, gamma at p={gamma.p}")
-    if gamma.level > z.precision:
-        raise PrecisionError(
-            f"evaluation at level {gamma.level} needs z mod {z.p}^{gamma.level}, "
-            f"but z carries precision {z.precision}",
-            required_precision=gamma.level,
-        )
-    z_mod = z.value % (gamma.p ** max(gamma.level, 1))
-    return CircleElement((z_mod * gamma.fraction) % 1)
 
 
 def _check_enumeration_guard(p: int, level: int) -> None:

@@ -60,11 +60,13 @@ def digits_past_limit(n: int | list[tuple[int, int]]) -> int:
 
 def check_literals(texts) -> None:
     """Refuse a run of more decimal digits than the str-to-int limit in any
-    of texts; a text no longer than the limit costs one len()."""
+    of texts, reading digits joined by single underscores as one run, as
+    int() and Fraction() do; a text no longer than the limit costs one len()."""
     limit = int_str_limit()
     for text in texts:
         if limit and len(text) > limit:
-            digits = max(map(len, re.findall(r"\d+", text)), default=0)
+            runs = re.findall(r"\d+(?:_\d+)*", text)
+            digits = max((len(run) - run.count("_") for run in runs), default=0)
             if digits > limit:
                 raise DomainError(
                     f"an input integer has {digits} decimal digits, over "

@@ -74,14 +74,6 @@ class PruferElement:
                 f"{self.numerator}/{self.p}^{self.level} is not reduced"
             )
 
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.p ** self.level)
-
-    @property
-    def order(self) -> int:
-        return self.p ** self.level
-
     def __str__(self):
         if self.level == 0:
             return "0"
@@ -187,13 +179,6 @@ def gamma_group(q: PAdicInt) -> CyclicSubgroupQ:
     return CyclicSubgroupQ(Fraction(_hull_numerators(q)[-1], q.p ** q.precision))
 
 
-def contains(g: CyclicSubgroupQ, r) -> bool:
-    r = Fraction(r)
-    if g.generator == 0:
-        return r == 0
-    return (r / g.generator).denominator == 1
-
-
 def contains_one_report(q: PAdicInt) -> ContainsOneReport:
     """Whether 1 lies in the truncated group, plus the obstruction.
 
@@ -257,15 +242,9 @@ def prufer_image(gamma, p: int) -> PruferElement:
         level, rest = split_power(den, p)
         if rest != 1:
             raise DomainError(
-                f"denominator of {shown(gamma)} has a prime factor {shown(rest)} other than {p}"
+                f"denominator of {shown(gamma)} has a factor {shown(rest)} prime to {p}"
             )
     return PruferElement(p=p, level=level, numerator=(gamma % 1).numerator)
-
-
-def prufer_add(a: PruferElement, b: PruferElement) -> PruferElement:
-    if a.p != b.p:
-        raise DomainError(f"cannot add torsion elements at p={a.p} and p={b.p}")
-    return prufer_image(a.fraction + b.fraction, a.p)
 
 
 def prufer_relations_check(q: PAdicInt) -> PruferRelationsReport:

@@ -116,9 +116,6 @@ class PAdicInt:
     def __neg__(self) -> PAdicInt:
         return self._residue(self.p, kernels.neg(self.value, self._modulus), self.precision)
 
-    def __sub__(self, other: PAdicInt) -> PAdicInt:
-        return self + (-other)
-
     def __mul__(self, other: PAdicInt) -> PAdicInt:
         self._check_compatible(other)
         value = kernels.mul(self.value, other.value, self._modulus)
@@ -163,9 +160,6 @@ class CanonicalSequence:
                     f"mod {self.p}^{n - 1}"
                 )
             prev = a
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def padic_from_integer(m: int, p: int, n: int) -> PAdicInt:

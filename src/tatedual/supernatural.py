@@ -68,13 +68,6 @@ class UHFDescriptor:
             if not isinstance(k, int) or isinstance(k, bool) or k < 1:
                 raise DomainError(f"matrix size {k!r} rejected; sizes are integers >= 1")
 
-    def sizes(self, count: int) -> tuple[int, ...]:
-        """The first `count` sizes of the (possibly infinite) sequence."""
-        out = list(self.prefix[:count])
-        while self.tail and len(out) < count:
-            out.extend(self.tail)
-        return tuple(out[:count])
-
     def __str__(self):
         return format_descriptor(self)
 

@@ -1,0 +1,91 @@
+"""Reference implementations shared by the tests: each states a fact of the
+paper in plain exact arithmetic, for the package's routines to be checked
+against."""
+
+from fractions import Fraction
+
+from tatedual.duality import CircleElement
+from tatedual.gamma import CyclicSubgroupQ, PruferElement, prufer_image
+from tatedual.padic import PAdicInt
+from tatedual.supernatural import UHFDescriptor
+
+
+# --- the Tate series as exact rationals ---------------------------------------
+
+def reduce_mod(f: Fraction, p: int, n: int) -> int:
+    """Reduce an exact rational with unit denominator to its residue."""
+    mod = p ** n
+    return f.numerator * pow(f.denominator, -1, mod) % mod
+
+
+def rational_a4(q_int: int, terms: int) -> Fraction:
+    return -5 * sum(
+        (Fraction(n ** 3 * q_int ** n, 1 - q_int ** n) for n in range(1, terms + 1)),
+        Fraction(0),
+    )
+
+
+def rational_a6(q_int: int, terms: int) -> Fraction:
+    return -sum(
+        (
+            Fraction(5 * n ** 3 + 7 * n ** 5, 12)
+            * Fraction(q_int ** n, 1 - q_int ** n)
+            for n in range(1, terms + 1)
+        ),
+        Fraction(0),
+    )
+
+
+# --- groups in Q and Q/Z ---------------------------------------------------------
+
+def contains(g: CyclicSubgroupQ, r) -> bool:
+    """Membership of a rational in the cyclic group generator*Z."""
+    r = Fraction(r)
+    if g.generator == 0:
+        return r == 0
+    return (r / g.generator).denominator == 1
+
+
+def _fraction(g: PruferElement) -> Fraction:
+    return Fraction(g.numerator, g.p ** g.level)
+
+
+def prufer_add(a: PruferElement, b: PruferElement) -> PruferElement:
+    """The group law of the p-power torsion of Q/Z, through Q."""
+    return prufer_image(_fraction(a) + _fraction(b), a.p)
+
+
+def circle_add(x: CircleElement, y: CircleElement) -> CircleElement:
+    """The group law of R/Z on rational points."""
+    return CircleElement((x.value + y.value) % 1)
+
+
+def rand_prufer(rng, p: int, max_level: int) -> PruferElement:
+    """A random torsion element of level 0..max_level."""
+    level = rng.randint(0, max_level)
+    if level == 0:
+        return PruferElement(p, 0, 0)
+    num = rng.randrange(1, p ** level)
+    while num % p == 0:
+        num = rng.randrange(1, p ** level)
+    return PruferElement(p, level, num)
+
+
+# --- the pairing -------------------------------------------------------------------
+
+def bidual_eval(gamma: PruferElement, z: PAdicInt) -> CircleElement:
+    """Evaluation of the double-dual element attached to gamma on the
+    character z, through exact rational arithmetic; `pair(z, gamma)` is
+    checked against it."""
+    z_mod = z.value % (gamma.p ** max(gamma.level, 1))
+    return CircleElement((z_mod * _fraction(gamma)) % 1)
+
+
+# --- UHF size sequences ----------------------------------------------------------
+
+def sizes(desc: UHFDescriptor, count: int) -> tuple[int, ...]:
+    """The first `count` sizes of the (possibly infinite) sequence."""
+    out = list(desc.prefix[:count])
+    while desc.tail and len(out) < count:
+        out.extend(desc.tail)
+    return tuple(out[:count])

@@ -7,10 +7,8 @@ import random
 from fractions import Fraction
 
 from tatedual.cli import run as cli_run
-from tatedual.duality import bidual_eval, pair, perfectness_check
+from tatedual.duality import pair, perfectness_check
 from tatedual.gamma import (
-    PruferElement,
-    contains,
     contains_one_report,
     density_witness,
     gamma_generators,
@@ -30,6 +28,14 @@ from tatedual.supernatural import (
 from tatedual.tate import a4, a6, truncation_index
 
 from conftest import SMALL_PRIMES, random_q
+from oracles import (
+    bidual_eval,
+    contains,
+    rand_prufer,
+    rational_a4,
+    rational_a6,
+    reduce_mod,
+)
 
 PRIMES = SMALL_PRIMES
 BIG = 25  # denominator exponent far beyond what any r, s <= 1000 can absorb
@@ -141,38 +147,16 @@ def test_criterion_4_containment_records():
 
 # --- 5: series evaluation vs the exact-rational oracle --------------------------
 
-def _reduce(f: Fraction, p: int, n: int) -> int:
-    mod = p ** n
-    return f.numerator * pow(f.denominator, -1, mod) % mod
-
-
-def _oracle_a4(q_int, terms):
-    return -5 * sum(
-        (Fraction(k ** 3 * q_int ** k, 1 - q_int ** k) for k in range(1, terms + 1)),
-        Fraction(0),
-    )
-
-
-def _oracle_a6(q_int, terms):
-    return -sum(
-        (
-            Fraction(5 * k ** 3 + 7 * k ** 5, 12) * Fraction(q_int ** k, 1 - q_int ** k)
-            for k in range(1, terms + 1)
-        ),
-        Fraction(0),
-    )
-
-
 @acceptance(5, "coefficient series vs exact-rational oracle")
 def test_criterion_5_series_oracle():
     for p, q_int, n in [(2, 2, 4), (3, 3, 2)]:
         q = padic_from_integer(q_int, p, n)
         terms = truncation_index(q)
-        assert a4(q).value == _reduce(_oracle_a4(q_int, terms), p, n)
-        assert a6(q).value == _reduce(_oracle_a6(q_int, terms), p, n)
+        assert a4(q).value == reduce_mod(rational_a4(q_int, terms), p, n)
+        assert a6(q).value == reduce_mod(rational_a6(q_int, terms), p, n)
         # ten more terms change nothing mod p^N: the truncation loses nothing
-        assert a4(q).value == _reduce(_oracle_a4(q_int, terms + 10), p, n)
-        assert a6(q).value == _reduce(_oracle_a6(q_int, terms + 10), p, n)
+        assert a4(q).value == reduce_mod(rational_a4(q_int, terms + 10), p, n)
+        assert a6(q).value == reduce_mod(rational_a6(q_int, terms + 10), p, n)
     for k in range(1, 10 ** 4 + 1):
         assert (5 * k ** 3 + 7 * k ** 5) % 12 == 0
 
@@ -191,15 +175,8 @@ def test_criterion_6_perfectness():
     rng = random.Random(6066)
     for _ in range(10 ** 4):
         p = rng.choice((2, 3, 5))
-        level = rng.randint(0, 6)
-        if level == 0:
-            g = PruferElement(p, 0, 0)
-        else:
-            num = rng.randrange(1, p ** level)
-            while num % p == 0:
-                num = rng.randrange(1, p ** level)
-            g = PruferElement(p, level, num)
-        prec = rng.randint(max(level, 1), 9)
+        g = rand_prufer(rng, p, 6)
+        prec = rng.randint(max(g.level, 1), 9)
         z = padic_from_integer(rng.randrange(p ** prec), p, prec)
         assert bidual_eval(g, z) == pair(z, g)
 

@@ -129,6 +129,21 @@ def test_digit_list_input(capsys):
     assert doc["result"]["entries"] == [0, 2, 2, 2]
 
 
+def test_one_element_bracketed_digit_list_is_a_digit_list(capsys):
+    # a bracketed text is a digit list even without a comma: [5] is the digit
+    # 5, out of range at p = 3, not the integer 5, and it sets the precision
+    code, out, err = invoke(capsys, "padic", "canon", "--p", "3", "--q", "[5]", "--prec", "1",
+                            "--json")
+    assert code == 3
+    assert _single_error_document(out, err)["diagnostics"] == [
+        "digit c_0=5 out of range [0, 2]"
+    ]
+    code, doc = invoke_json(capsys, "padic", "canon", "--p", "3", "--q", "[2]")
+    assert code == 0
+    assert doc["result"]["q"] == "2 mod 3^1"
+    assert doc["result"]["entries"] == [2]
+
+
 def test_gamma_subcommands(capsys):
     code, doc = invoke_json(capsys, "gamma", "prufer-check", "--p", "2", "--q", "2", "--prec", "5")
     assert code == 0
@@ -357,9 +372,19 @@ def test_dual_pair_foreign_factor_past_int_to_str_limit_is_a_domain_error(capsys
     assert code == 3
     doc = _single_error_document(out, err)
     assert doc["diagnostics"] == [
-        f"denominator of 1/<7004 digits> has a prime factor {2 ** 9000} other than 3"
+        f"denominator of 1/<7004 digits> has a factor {2 ** 9000} prime to 3"
     ]
     assert elapsed < 1.0
+
+
+def test_dual_pair_foreign_factor_is_named_prime_to_p(capsys):
+    # 9 is the 2-free part of 36, not a prime factor of it
+    message = "denominator of 1/36 has a factor 9 prime to 2"
+    argv = ("dual", "pair", "--p", "2", "--z", "1", "--prec", "3", "--gamma", "1/36")
+    assert invoke(capsys, *argv) == (3, "", f"status: error\nerror: {message}\n")
+    code, out, err = invoke(capsys, *argv, "--json")
+    assert code == 3
+    assert _single_error_document(out, err)["diagnostics"] == [message]
 
 
 def _timed_json(capsys, *argv):
@@ -497,6 +522,31 @@ def test_input_integer_at_the_str_to_int_limit_passes_the_boundary(capsys):
     code, doc, _ = _timed_json(capsys, "padic", "canon", "--p", "3", "--prec", "4", "--q", q)
     assert code == 0
     assert doc["result"]["q"] == f"{int(q) % 81} mod 3^4"
+
+
+_U = "_".join(["1000"] * 1300)  # 5200 digits in groups, as int() and Fraction() read them
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("padic", "canon", "--p", "3", "--prec", "4", "--q", _U),
+                     id="padic-canon-q-U"),
+        pytest.param(("gamma", "density", "--p", "3", "--q", "3", "--prec", "4",
+                      "--target", _U, "--epsilon", "1/2"), id="gamma-density-target-U"),
+        pytest.param(("uhf", "k0", "--desc", f"sizes={_U}"), id="uhf-k0-sizes-U"),
+    ],
+)
+def test_underscore_grouped_integer_past_str_to_int_limit_is_a_domain_error(capsys, argv):
+    # the underscores are not digits; the groups they join are one integer
+    message = (
+        f"an input integer has 5200 decimal digits, over the str-to-int limit "
+        f"of {sys.get_int_max_str_digits()} (sys.get_int_max_str_digits())"
+    )
+    assert invoke(capsys, *argv) == (3, "", f"status: error\nerror: {message}\n")
+    code, out, err = invoke(capsys, *argv, "--json")
+    assert code == 3
+    assert _single_error_document(out, err)["diagnostics"] == [message]
 
 
 @pytest.mark.parametrize(

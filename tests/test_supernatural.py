@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import sizes
 from tatedual.errors import DomainError
 from tatedual.numutil import factorize
 from tatedual.supernatural import (
@@ -107,8 +108,8 @@ def test_stage_invariants_divide_along_the_chain():
             tail=(rng.choice(PRIMES),),
         )
         for m in range(1, 7):
-            cur = supernatural_from_sizes(UHFDescriptor(prefix=desc.sizes(m)))
-            nxt = supernatural_from_sizes(UHFDescriptor(prefix=desc.sizes(m + 1)))
+            cur = supernatural_from_sizes(UHFDescriptor(prefix=sizes(desc, m)))
+            nxt = supernatural_from_sizes(UHFDescriptor(prefix=sizes(desc, m + 1)))
             for p, e in cur.exponents.items():
                 assert e <= nxt.exponent(p)
 

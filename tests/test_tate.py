@@ -2,13 +2,13 @@
 against the per-term residue series the Lambert form replaced."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SMALL_PRIMES, random_q
+from oracles import rational_a4, rational_a6, reduce_mod
 from tatedual.errors import DomainError
 from tatedual.padic import padic_from_integer
 from tatedual.tate import (
@@ -18,30 +18,6 @@ from tatedual.tate import (
     tate_coefficients,
     truncation_index,
 )
-
-
-def reduce_mod(f: Fraction, p: int, n: int) -> int:
-    """Reduce an exact rational with unit denominator to its residue."""
-    mod = p ** n
-    return f.numerator * pow(f.denominator, -1, mod) % mod
-
-
-def rational_a4(q_int: int, terms: int) -> Fraction:
-    return -5 * sum(
-        (Fraction(n ** 3 * q_int ** n, 1 - q_int ** n) for n in range(1, terms + 1)),
-        Fraction(0),
-    )
-
-
-def rational_a6(q_int: int, terms: int) -> Fraction:
-    return -sum(
-        (
-            Fraction(5 * n ** 3 + 7 * n ** 5, 12)
-            * Fraction(q_int ** n, 1 - q_int ** n)
-            for n in range(1, terms + 1)
-        ),
-        Fraction(0),
-    )
 
 
 def residue_series(q, coefficient, terms):
@@ -54,7 +30,7 @@ def residue_series(q, coefficient, terms):
     for k in range(1, terms + 1):
         q_pow = q_pow * q
         term = padic_from_integer(coefficient(k), p, n) * q_pow
-        acc = acc + term * (one - q_pow).inverse()
+        acc = acc + term * (one + (-q_pow)).inverse()
     return acc
 
 
