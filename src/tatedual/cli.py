@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,6 +38,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # any -<digit> or -.<digit> token is a value, so `--target -1/2` parses
+        # like `--target=-1/2`; the pattern argparse sets on Python 3.11 admits
+        # only -<digits> and -<digits>.<digits>.  No flag here starts that way.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise _UsageError(self, message)
 

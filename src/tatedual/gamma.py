@@ -6,17 +6,16 @@ Every finitely generated subgroup of Q is cyclic, so a truncation is
 represented by a single nonnegative generator; the infinite group only ever
 appears through its truncations, with stabilization reported explicitly.
 
-Closed forms used throughout.  With a_n = q mod p**n and G_0 = 0, the
-running gcd
-
-    G_n = gcd(p * G_{n-1}, a_n) = gcd(a_k * p**(n-k) : k <= n)
-
-makes G_n / p**n the hull generator of the level-n truncation, so one pass
-over a_1..a_N gives every truncation.  Past the valuation v, G_n = p**v *
-content_n with content_n prime to p, so the generator is
-content_n / p**(n-v) and the group tends to content * Z[1/p].  In Q/Z:
-p*gamma_1 = a_1 is an integer, p*gamma_{n+1} - gamma_n = c_n (q's digit at
-p**n), and gamma_n reduces to level max(n - v, 0).
+Closed forms used throughout.  With a_n = q mod p**n, the level-n
+truncation is generated by G_n / p**n, where G_0 = 0 and
+G_n = gcd(a_k * p**(n-k) : k <= n) = gcd(p * G_{n-1}, a_n).  With q's digits
+c_k and valuation v, G_n = p**v * content_n with content_n =
+gcd(c_0, ..., c_{n-1}) (0 while n <= v): g = content_{n-1} divides a_{n-1}
+and is prime to p, because it divides the first nonzero digit (< p), so
+gcd(p * G_{n-1}, a_n) = p**v * gcd(g, c_{n-1}).  The generator is thus
+content_N / p**(N-v), read without building any a_n, and the group tends
+to content * Z[1/p].  In Q/Z: p*gamma_1 = a_1 is an integer,
+p*gamma_{n+1} - gamma_n = c_n, and gamma_n reduces to level max(n - v, 0).
 """
 
 from __future__ import annotations
@@ -25,9 +24,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import DomainError, PrecisionError, shown
-from .numutil import check_prime, gcd_with_coefficients, prime_to_part, split_power
+from .numutil import check_prime, gcd_with_coefficients, split_power
 from .padic import PAdicInt, prefix_residues
 from .supernatural import INF, SupernaturalNumber
 
@@ -139,15 +139,6 @@ def gamma_generators(q: PAdicInt) -> list[Fraction]:
     return [Fraction(a, pn) for a, pn in prefix_residues(q)]
 
 
-def _hull_numerators(q: PAdicInt) -> list[int]:
-    """G_1..G_N with G_n = gcd(p * G_{n-1}, a_n): the level-n truncation
-    of q spans the cyclic group generated by G_n / p**n."""
-    out = [0]
-    for a, _ in prefix_residues(q):
-        out.append(math.gcd(out[-1] * q.p, a))
-    return out[1:]
-
-
 def hull_with_coefficients(gens) -> tuple[CyclicSubgroupQ, list[int]]:
     """Cyclic hull of finitely many rationals plus a certificate.
 
@@ -175,20 +166,25 @@ def cyclic_hull(gens) -> CyclicSubgroupQ:
 
 
 def gamma_group(q: PAdicInt) -> CyclicSubgroupQ:
-    """The truncation at q's precision of the group its generators span."""
-    return CyclicSubgroupQ(Fraction(_hull_numerators(q)[-1], q.p ** q.precision))
+    """The truncation at q's precision of the group its generators span:
+    the gcd of q's digits over p**(N - v), or 0 for q = 0."""
+    if q.is_zero():
+        return CyclicSubgroupQ(Fraction(0))
+    content = math.gcd(*q.digits)
+    return CyclicSubgroupQ(Fraction(content, q.p ** (q.precision - q.valuation())))
 
 
 def contains_one_report(q: PAdicInt) -> ContainsOneReport:
     """Whether 1 lies in the truncated group, plus the obstruction.
 
-    `content` is the prime-to-p part of gcd{a_n : a_n != 0}; the hull
-    generator is content / p**(N - v), so 1 is inside exactly when the
-    content is 1.  A content > 1 means the generator numerators share a
-    common factor and no integer combination can reach 1.
+    `content` is the gcd of q's digits, the prime-to-p part of
+    gcd{a_n : a_n != 0}; the hull generator is content / p**(N - v), so 1
+    is inside exactly when the content is 1.  A content > 1 is a common
+    factor of the generator numerators that no integer combination can
+    remove.
     """
     _require_nonzero(q)
-    content = prime_to_part(_hull_numerators(q)[-1], q.p)
+    content = math.gcd(*q.digits)
     return ContainsOneReport(contains_one=content == 1, content=content)
 
 
@@ -275,8 +271,8 @@ def supernatural_limit(q: PAdicInt) -> SupernaturalLimit:
     supernatural shape is p^inf; `scale` is the latest content and
     `stabilized` says whether it was constant over the last 3 levels."""
     _positive_valuation(q)
-    # the level-n generator G_n / p**n has numerator content_n (0 while n <= v)
-    window = [prime_to_part(g, q.p) for g in _hull_numerators(q)[-3:]]
+    # content_n = gcd(c_0, ..., c_{n-1}) at the last three levels n
+    window = list(accumulate(q.digits, math.gcd))[-3:]
     scale = window[-1]
     stabilized = len(window) == 3 and all(c == scale for c in window)
     return SupernaturalLimit(

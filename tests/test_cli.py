@@ -414,6 +414,17 @@ def test_uhf_k0_factorizes_each_tail_size_not_their_product(capsys):
     assert elapsed < 1.0
 
 
+def test_contains_one_at_a_small_value_and_large_precision_is_fast(capsys):
+    # q is small but p^N has about 1.6 million bits: no a_n or p^n is built
+    code, doc, elapsed = _timed_json(
+        capsys, "gamma", "contains-one", "--p", "65521", "--prec", "100000",
+        "--q", "290700359666",
+    )
+    assert code == 0
+    assert doc["result"] == {"contains_one": True, "content": 1}
+    assert elapsed < 2.0
+
+
 def test_enumeration_guard_admits_2_to_the_13_and_no_more():
     _check_enumeration_guard(2, 13)  # decided without a scan
     _check_enumeration_guard(89, 2)
@@ -643,3 +654,23 @@ def test_usage_errors_in_text_mode_keep_argparse_usage_on_stderr(capsys):
         "usage: tatedual gamma gens [-h] --p P [--prec PREC] [--q Q] [--json]\n"
         "tatedual gamma gens: error: argument --p: invalid int value: 'x'\n"
     )
+
+
+@pytest.mark.parametrize(
+    "flag, value, rest",
+    [
+        ("--target", "-1/2", ("gamma", "density", "--p", "3", "--q", "3", "--prec", "6",
+                              "--epsilon", "1/9")),
+        ("--target", "-.5", ("gamma", "density", "--p", "3", "--q", "3", "--prec", "6",
+                             "--epsilon", "1/9")),
+        ("--gamma", "-1/9", ("dual", "pair", "--p", "3", "--z", "1", "--prec", "2")),
+    ],
+)
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_negative_value_after_its_flag_parses_like_the_equals_form(
+    capsys, flag, value, rest, mode
+):
+    apart = invoke(capsys, *rest, flag, value, *mode)
+    joined = invoke(capsys, *rest, f"{flag}={value}", *mode)
+    assert apart == joined
+    assert apart[0] == 0

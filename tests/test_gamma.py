@@ -20,7 +20,6 @@ from tatedual.gamma import (
     PruferRelation,
     PruferRelationsReport,
     SupernaturalLimit,
-    _hull_numerators,
     _required_precision,
     contains_one_report,
     cyclic_hull,
@@ -34,7 +33,7 @@ from tatedual.gamma import (
     supernatural_limit,
 )
 from tatedual.numutil import prime_to_part
-from tatedual.padic import canonical_sequence, padic_from_integer
+from tatedual.padic import PAdicInt, canonical_sequence, padic_from_integer
 from tatedual.supernatural import INF, SupernaturalNumber
 
 
@@ -439,13 +438,17 @@ def oracle_prufer_relations(q):
 @st.composite
 def residue_q(draw, min_v=1, allow_zero=False):
     """q = p**v * u mod p**N with min_v <= v < N and a unit u of 1..N digits;
-    with allow_zero, v = N (so q = 0) may be drawn too."""
-    p = draw(st.sampled_from(SMALL_PRIMES + (1099511627689,)))  # a 40-bit prime
+    with allow_zero, v = N (so q = 0) may be drawn too.  Some q are built
+    from their digit list, which then seeds q.digits (the `--q [..]` path)."""
+    p = draw(st.sampled_from(SMALL_PRIMES + (1099511627689,  # a 40-bit prime
+                                             9223372036854775783)))  # a 63-bit prime
     n = draw(st.integers(2, 40))
     v = draw(st.integers(min_v, n if allow_zero else n - 1))
     k = draw(st.integers(1, n))
     digits = [draw(st.integers(1, p - 1))]
     digits += [draw(st.integers(0, p - 1)) for _ in range(k - 1)]
+    if draw(st.booleans()):
+        return PAdicInt(p, ([0] * v + digits + [0] * n)[:n])
     u = sum(d * p ** i for i, d in enumerate(digits))
     return padic_from_integer(p ** v * u, p, n)
 
@@ -474,8 +477,8 @@ def test_group_and_content_match_brute_force_on_units_and_zero(q):
 
 def residues_by_reduction(q):
     """(a_n, p**n) with a_n = q mod p**n reduced from q's value for each n:
-    the loop gamma_generators and _hull_numerators ran before they read
-    the digits."""
+    the loop gamma_generators and the K0 side ran before they read the
+    digits."""
     out = []
     pn = 1
     for _ in range(q.precision):
@@ -490,8 +493,12 @@ def residues_by_reduction(q):
 def test_digit_pass_matches_reduction_mod_each_power(q):
     pairs = residues_by_reduction(q)
     assert gamma_generators(q) == [Fraction(a, pn) for a, pn in pairs]
+    # the running gcd G_n = gcd(p * G_{n-1}, a_n) is p**v * gcd(c_0..c_{n-1})
     hull, g = [], 0
     for a, _ in pairs:
         g = math.gcd(g * q.p, a)
         hull.append(g)
-    assert _hull_numerators(q) == hull
+    pv = q.p ** q.valuation() if q.value else 0
+    assert hull == [pv * math.gcd(*q.digits[:n]) for n in range(1, q.precision + 1)]
+    for n, (g, (_, pn)) in enumerate(zip(hull, pairs), start=1):
+        assert gamma_group(q.truncate(n)).generator == Fraction(g, pn)
