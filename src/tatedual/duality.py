@@ -34,13 +34,8 @@ class CircleElement:
     value: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
         if not 0 <= self.value < 1:
             raise DomainError(f"circle values live in [0, 1); got {self.value}")
-
-    def __str__(self):
-        return str(self.value)
 
 
 CIRCLE_ZERO = CircleElement(Fraction(0))

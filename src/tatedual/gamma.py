@@ -39,8 +39,6 @@ class CyclicSubgroupQ:
     generator: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.generator, Fraction):
-            object.__setattr__(self, "generator", Fraction(self.generator))
         if self.generator < 0:
             raise DomainError("group generators are normalized nonnegative")
 

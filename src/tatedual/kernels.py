@@ -28,7 +28,7 @@ def to_int(digits, p):
 
 
 def from_int(value, p, n):
-    value %= p ** n  # canonicalizes negatives too
+    """The low n base-p digits of any integer, least significant first."""
     out = []
     for _ in range(n):
         value, d = divmod(value, p)

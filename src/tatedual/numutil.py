@@ -1,7 +1,8 @@
 """Small integer helpers shared across the package: primality by
 deterministic Miller-Rabin, factorization by trial division and Pollard
-rho under a stated step budget, and extended gcd with combination
-certificates."""
+rho under a stated step budget, and the p-power split.  `xgcd` and
+`gcd_with_coefficients` serve only the tests and the benchmark tracer;
+they go with the certified-hull fork (ROADMAP item 3)."""
 
 from __future__ import annotations
 

@@ -20,13 +20,6 @@ from .numutil import check_prime, split_power
 class _AtLeastPrecision:
     """Marker for 'every stored digit is zero': the valuation is >= N."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "at_least_precision"
 
@@ -146,8 +139,6 @@ class CanonicalSequence:
 
     def __post_init__(self):
         check_prime(self.p)
-        if not isinstance(self.entries, tuple):
-            object.__setattr__(self, "entries", tuple(self.entries))
         pn = 1
         prev = None
         for n, a in enumerate(self.entries, start=1):

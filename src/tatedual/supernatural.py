@@ -47,9 +47,6 @@ class SupernaturalNumber:
     def infinite_support(self) -> frozenset[int]:
         return frozenset(p for p, e in self.exponents.items() if e == INF)
 
-    def __str__(self):
-        return format_supernatural(self)
-
 
 @dataclass(frozen=True)
 class UHFDescriptor:
@@ -60,16 +57,9 @@ class UHFDescriptor:
     tail: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.prefix, tuple):
-            object.__setattr__(self, "prefix", tuple(self.prefix))
-        if not isinstance(self.tail, tuple):
-            object.__setattr__(self, "tail", tuple(self.tail))
         for k in self.prefix + self.tail:
             if not isinstance(k, int) or isinstance(k, bool) or k < 1:
                 raise DomainError(f"matrix size {k!r} rejected; sizes are integers >= 1")
-
-    def __str__(self):
-        return format_descriptor(self)
 
 
 @dataclass(frozen=True)
@@ -97,7 +87,7 @@ def supernatural_from_sizes(m: UHFDescriptor) -> SupernaturalNumber:
     for k in m.tail:
         for p in factorize(k):
             exps[p] = INF
-    return SupernaturalNumber({p: e for p, e in exps.items() if e})
+    return SupernaturalNumber(exps)
 
 
 def k0_of(m: UHFDescriptor) -> SupernaturalNumber:

@@ -46,11 +46,9 @@ def truncation_index(q: PAdicInt) -> int:
 
 
 def a6_term_coefficient(n: int) -> int:
-    """The integer (5n^3 + 7n^5) / 12; integrality is asserted per term."""
-    raw = 5 * n ** 3 + 7 * n ** 5
-    if raw % 12 != 0:
-        raise DomainError(f"5*{n}^3 + 7*{n}^5 = {raw} is not divisible by 12")
-    return raw // 12
+    """The integer (5n^3 + 7n^5) / 12: n^3 (5 + 7n^2) is n^3 (n - 1)(n + 1)
+    mod 3, and mod 4 n^3 = 0 for even n and 5 + 7n^2 = 12 for odd n."""
+    return (5 * n ** 3 + 7 * n ** 5) // 12
 
 
 def _series(q: PAdicInt, coefficient) -> PAdicInt:

@@ -21,6 +21,7 @@ from tatedual.padic import PAdicInt, canonical_sequence, padic_from_integer
 from tatedual.supernatural import (
     INF,
     SupernaturalNumber,
+    format_supernatural,
     qn_contains,
     stably_isomorphic,
     uhf_from_tate,
@@ -308,7 +309,8 @@ def test_criterion_7_classification():
     for n1, n2 in pairs:
         decision = stably_isomorphic(n1, n2)
         found = _brute_force_decision(n1, n2, deltas)
-        assert decision.equal == (found is not None), (str(n1), str(n2), found)
+        assert decision.equal == (found is not None), (
+            format_supernatural(n1), format_supernatural(n2), found)
         if decision.equal:
             r, s = decision.witness
             ratio = Fraction(r, s)

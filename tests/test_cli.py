@@ -230,6 +230,49 @@ def test_precondition_violations_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv, code, diagnostic",
+    [
+        ("padic canon --p 2 --prec 3", 2, "--q is required"),
+        ("padic canon --p 2 --q [a,b] --prec 2", 2, "malformed digit list for --q: '[a,b]'"),
+        ("padic canon --p 2 --q abc --prec 2", 2,
+         "--q must be an integer or digit list, got 'abc'"),
+        ("gamma group --p 1 --q 3 --prec 2", 3, "p=1 is not prime (primes start at 2)"),
+        ("gamma group --p 18446744073709551557 --q 3 --prec 2", 3,
+         "p=18446744073709551557 does not fit in a machine word"),
+        ("dual pair --p 3 --z 1 --prec 2 --gamma 1/0", 3, "zero denominator in '1/0'"),
+        ("uhf k0 --desc ;", 3, "malformed descriptor: ';'"),
+    ],
+)
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_rejected_inputs_name_their_fault_in_both_modes(capsys, argv, code, diagnostic,
+                                                        json_mode):
+    got, out, err = invoke(capsys, *argv.split(), *["--json"] * json_mode)
+    assert got == code
+    if json_mode:
+        assert _single_error_document(out, err)["diagnostics"] == [diagnostic]
+    else:
+        assert (out, err) == ("", f"status: error\nerror: {diagnostic}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, result, text",
+    [
+        ("dual pair --p 3 --z 1 --prec 2 --gamma 1",
+         {"gamma": "0", "value": "0", "z": "1 mod 3^2"}, "z: 1 mod 3^2\ngamma: 0\nvalue: 0\n"),
+        ("uhf k0 --desc sizes=2;", {"descriptor": "sizes=2", "k0": "2"},
+         "descriptor: sizes=2\nk0: 2\n"),
+        ("uhf stable-iso --n 2^0*3 --n2 3", {"equal": True, "witness": {"r": 1, "s": 1}},
+         "equal: True\nwitness: {'r': 1, 's': 1}\n"),
+    ],
+)
+def test_degenerate_inputs_that_succeed_in_both_modes(capsys, argv, result, text):
+    assert invoke(capsys, *argv.split()) == (0, text, "")
+    code, out, err = invoke(capsys, *argv.split(), "--json")
+    assert code == 0
+    assert _one_document(out, err)["result"] == result
+
+
 def test_error_envelope_in_json_mode(capsys):
     code, out, _ = invoke(
         capsys, "tate", "coeffs", "--p", "2", "--q", "3", "--prec", "4", "--json"

@@ -187,4 +187,3 @@ def test_circle_element_validation_and_addition():
     with pytest.raises(DomainError):
         CircleElement(F(3, 2))
     assert circle_add(CircleElement(F(2, 3)), CircleElement(F(2, 3))).value == F(1, 3)
-    assert str(CircleElement(F(5, 8))) == "5/8"

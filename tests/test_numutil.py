@@ -59,6 +59,15 @@ def test_strong_pseudoprimes_rejected_with_smallest_factor(n, factor):
     assert str(info.value) == f"p={n} is not prime (divisible by {factor})"
 
 
+def test_factorize_splits_the_least_pseudoprime_to_all_12_bases():
+    # psi_12 passes every base of `_miller_rabin`, so only the exactness bound
+    # (`>=`, not `>`) keeps it from being taken for a prime
+    psi12 = 318665857834031151167461
+    assert psi12 == numutil._MR_EXACT_BELOW == 399165290221 * 798330580441
+    assert numutil._miller_rabin(psi12)
+    assert factorize(psi12) == {399165290221: 1, 798330580441: 1}
+
+
 def test_miller_rabin_agrees_with_trial_division_below_2e5():
     for n in range(2 * 10 ** 5):
         assert miller_rabin_prime(n) == (n >= 2 and smallest_factor(n) == n), n
