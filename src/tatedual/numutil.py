@@ -2,7 +2,7 @@
 deterministic Miller-Rabin, factorization by trial division and Pollard
 rho under a stated step budget, and the p-power split.  `xgcd` and
 `gcd_with_coefficients` serve only the tests and the benchmark tracer;
-they go with the certified-hull fork (ROADMAP item 3)."""
+they go with the certified-hull fork (ROADMAP item 4)."""
 
 from __future__ import annotations
 
@@ -80,11 +80,6 @@ def _rho_divisor(n: int) -> int:
     )
 
 
-def smallest_factor(n: int) -> int:
-    """Return the smallest prime factor of n >= 2 (n itself if prime)."""
-    return min(factorize(n))
-
-
 def _miller_rabin(n: int) -> bool:
     """Exact primality for 2 <= n < _MR_EXACT_BELOW."""
     for b in _MR_BASES:
@@ -109,18 +104,28 @@ def _miller_rabin(n: int) -> bool:
 
 def check_prime(p: int) -> None:
     """Reject p unless it is a prime fitting in a machine word."""
+    if type(p) is int and p in _VERIFIED_PRIMES:
+        return
+    check_provable_prime(p, 1 << MAX_PRIME_BITS, "does not fit in a machine word")
+    _VERIFIED_PRIMES.add(p)
+
+
+def check_provable_prime(
+    p: int,
+    bound: int = _MR_EXACT_BELOW,
+    too_large: str = f"is not below {_MR_EXACT_BELOW}, the bound of proven primality",
+) -> None:
+    """Reject p unless it is a prime below `bound`; by default, exactly the
+    primes that `factorize` can prove."""
     if not isinstance(p, int) or isinstance(p, bool):
         raise DomainError(f"p must be an integer, got {p!r}")
-    if p in _VERIFIED_PRIMES:
-        return
     if p < 2:
         raise DomainError(f"p={p} is not prime (primes start at 2)")
-    if p.bit_length() > MAX_PRIME_BITS:
-        raise DomainError(f"p={p} does not fit in a machine word")
+    if p >= bound:
+        raise DomainError(f"p={p} {too_large}")
     if not _miller_rabin(p):
         # factorize only names the divisor for the message
-        raise DomainError(f"p={p} is not prime (divisible by {smallest_factor(p)})")
-    _VERIFIED_PRIMES.add(p)
+        raise DomainError(f"p={p} is not prime (divisible by {min(factorize(p))})")
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, printable
-from .numutil import check_prime, factorize, split_power
+from .numutil import check_provable_prime, factorize, split_power
 
 INF = float("inf")  # exponent marker; compared against ints, never summed
 
@@ -30,7 +30,7 @@ class SupernaturalNumber:
 
     def __post_init__(self):
         for p, e in self.exponents.items():
-            check_prime(p)
+            check_provable_prime(p)
             if e == INF:
                 continue
             if not isinstance(e, int) or isinstance(e, bool) or e < 1:

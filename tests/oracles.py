@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from tatedual.duality import CircleElement
 from tatedual.gamma import CyclicSubgroupQ, PruferElement, prufer_image
-from tatedual.padic import PAdicInt
+from tatedual.padic import CanonicalSequence, PAdicInt
 from tatedual.supernatural import UHFDescriptor
 
 
@@ -34,6 +34,20 @@ def rational_a6(q_int: int, terms: int) -> Fraction:
         ),
         Fraction(0),
     )
+
+
+# --- the canonical sequence ------------------------------------------------------
+
+def check_canonical_sequence(seq: CanonicalSequence) -> None:
+    """Assert what a_n = x mod p**n must satisfy: 0 <= a_n < p**n, and
+    consecutive entries are congruent mod p**(n-1)."""
+    pn, prev = 1, None
+    for n, a in enumerate(seq.entries, start=1):
+        pn *= seq.p
+        assert 0 <= a < pn, f"a_{n}={a} out of range [0, {pn - 1}]"
+        assert prev is None or (a - prev) % (pn // seq.p) == 0, (
+            f"congruence broken: a_{n}={a} != a_{n - 1}={prev} mod {seq.p}^{n - 1}")
+        prev = a
 
 
 # --- groups in Q and Q/Z ---------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI contract: subcommand coverage, the JSON envelope, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -12,11 +13,21 @@ from tatedual.cli import run
 from tatedual.duality import _check_enumeration_guard
 from tatedual.errors import DomainError
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_subprocess(*argv, timeout):
+    """Run `python -m tatedual.cli *argv` in a child process that imports this
+    checkout's package; a run past `timeout` seconds raises TimeoutExpired."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "tatedual.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=timeout)
 
 
 def invoke_json(capsys, *argv):
@@ -242,6 +253,10 @@ def test_precondition_violations_exit_3(capsys):
          "p=18446744073709551557 does not fit in a machine word"),
         ("dual pair --p 3 --z 1 --prec 2 --gamma 1/0", 3, "zero denominator in '1/0'"),
         ("uhf k0 --desc ;", 3, "malformed descriptor: ';'"),
+        # psi_12 passes all 12 bases of the primality test, and is composite
+        ("uhf stable-iso --n 318665857834031151167461 --n2 1", 3,
+         "p=318665857834031151167461 is not below 318665857834031151167461, "
+         "the bound of proven primality"),
     ],
 )
 @pytest.mark.parametrize("json_mode", [False, True])
@@ -282,10 +297,6 @@ def test_error_envelope_in_json_mode(capsys):
     assert doc["status"] == "error"
     assert doc["diagnostics"]
     assert doc["result"] is None
-
-
-def test_help_exits_zero(capsys):
-    assert invoke(capsys, "--help")[0] == 0
 
 
 def test_dual_check_huge_level_is_a_guard_error(capsys):
@@ -475,6 +486,13 @@ def test_enumeration_guard_admits_2_to_the_13_and_no_more():
         _check_enumeration_guard(2, 14)
 
 
+@pytest.mark.parametrize("p, level", [("2", "13"), ("8191", "1"), ("89", "2")])
+def test_dual_check_at_the_enumeration_guard_is_perfect_within_60_s(p, level):
+    done = cli_subprocess("dual", "check", "--p", p, "--level", level, "--json", timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert '"perfect":true' in done.stdout
+
+
 @pytest.mark.parametrize("key", ["sizes", "tail"])
 def test_uhf_k0_splits_a_product_of_two_40_bit_primes(capsys, key):
     # 1099511627689 * 1099511627791 (80 bits): trial division past 2^63 never ended
@@ -511,6 +529,33 @@ def test_uhf_k0_size_rho_cannot_split_names_the_budget(capsys):
         "factor in its budget of 1048576 steps"
     ]
     assert elapsed < 3.0
+
+
+_P65 = "18446744073709551629"  # a 65-bit prime: past the machine word, below the MR bound
+
+
+@pytest.mark.parametrize(
+    "argv, result",
+    [
+        (f"uhf k0 --desc sizes={_P65}", {"descriptor": f"sizes={_P65}", "k0": _P65}),
+        (f"uhf k0 --desc sizes=2;tail={_P65}",
+         {"descriptor": f"sizes=2;tail={_P65}", "k0": f"2*{_P65}^inf"}),
+        (f"uhf stable-iso --n {_P65} --n2 1",
+         {"equal": True, "witness": {"r": int(_P65), "s": 1}}),
+    ],
+)
+def test_k0_side_takes_a_prime_past_the_machine_word(capsys, argv, result):
+    # the K0 side once checked its primes against the p-adic side's word limit
+    code, doc, _ = _timed_json(capsys, *argv.split())
+    assert code == 0
+    assert doc["result"] == result
+
+
+def test_prime_the_k0_side_admits_stays_out_of_the_padic_side(capsys):
+    assert _timed_json(capsys, "uhf", "k0", "--desc", f"sizes={_P65}")[0] == 0
+    code, doc, _ = _timed_json(capsys, "padic", "canon", "--p", _P65, "--q", "1", "--prec", "2")
+    assert code == 3
+    assert doc["diagnostics"] == [f"p={_P65} does not fit in a machine word"]
 
 
 def test_stable_iso_witness_of_30_million_digits_is_counted_fast(capsys):
@@ -633,13 +678,12 @@ def test_stable_iso_witness_at_the_limit_is_printed(capsys):
 def test_stable_iso_witness_of_30_billion_digits_fits_in_1_gib():
     # 2^99999999999 would take 12 GB to build; the child caps its own address
     # space, so a build fails there with MemoryError instead of filling the host
-    src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
             "from tatedual.cli import run; "
             "sys.exit(run(['uhf', 'stable-iso', '--n', '2^99999999999', '--n2', '1', '--json']))")
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={"PYTHONPATH": src}, timeout=60)
+                          env={"PYTHONPATH": SRC}, timeout=60)
     elapsed = time.perf_counter() - start
     assert done.returncode == 3, done.stderr
     doc = _single_error_document(done.stdout, done.stderr)

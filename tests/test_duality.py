@@ -14,7 +14,7 @@ from tatedual import duality
 from tatedual.duality import CIRCLE_ZERO, CircleElement, pair, perfectness_check
 from tatedual.errors import DomainError, PrecisionError
 from tatedual.gamma import PruferElement, prufer_image
-from tatedual.numutil import smallest_factor
+from tatedual.numutil import factorize
 from tatedual.padic import PAdicInt, padic_from_integer
 
 
@@ -159,7 +159,7 @@ def test_scan_nondegeneracy_matches_pair_search(case):
 
 
 @settings(deadline=None, max_examples=5)
-@given(p=st.sampled_from([n for n in range(11, 2048) if smallest_factor(n) == n]))
+@given(p=st.sampled_from([n for n in range(11, 2048) if factorize(n) == {n: 1}]))
 def test_scan_nondegeneracy_matches_pair_search_at_large_primes(p):
     assert nondegeneracy(perfectness_check(p, 1)) == pair_nondegeneracy(p, 1)
 

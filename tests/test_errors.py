@@ -3,8 +3,10 @@ number by its digit count."""
 
 import json
 import math
+import re
 import sys
 from decimal import Context, Decimal, localcontext
+from pathlib import Path
 
 import pytest
 
@@ -54,3 +56,12 @@ def test_power_of_two_next_to_a_power_of_ten_refines_its_decimal_log(capsys, e):
         f"an output integer has {count} decimal digits, over the int-to-str limit "
         f"of {int_str_limit()} (sys.get_int_max_str_digits())"
     ]
+
+
+def test_only_errors_reads_the_int_str_limit():
+    # errors owns the limit; every other module asks it
+    package = Path(__file__).resolve().parents[1] / "src" / "tatedual"
+    readers = [path.name for path in sorted(package.glob("*.py"))
+               if path.name != "errors.py"
+               and re.search(r"int_str_limit|get_int_max_str_digits", path.read_text())]
+    assert readers == []

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from tatedual import kernels
 from tatedual.duality import perfectness_check
 from tatedual.errors import DomainError
-from tatedual.numutil import smallest_factor
+from tatedual.numutil import factorize
 from tatedual.padic import PAdicInt, arithmetic, padic_from_integer
 
 PRIMES = (2, 3, 5, 7, 11, 97)
@@ -69,7 +69,7 @@ def test_inverse_rejects_non_units():
 def test_large_prime_falls_back_transparently():
     # the first prime above 2**31
     p = 2 ** 31
-    while smallest_factor(p) != p:
+    while factorize(p) != {p: 1}:
         p += 1
     a = padic_from_integer(3 * p + 5, p, 3)
     b = padic_from_integer(p - 1, p, 3)
@@ -150,7 +150,7 @@ def test_packed_scan_matches_loop(case):
 
 
 @settings(deadline=None, max_examples=5)
-@given(p=st.sampled_from([n for n in range(11, 2048) if smallest_factor(n) == n]))
+@given(p=st.sampled_from([n for n in range(11, 2048) if factorize(n) == {n: 1}]))
 def test_packed_scan_matches_loop_at_large_primes(p):
     assert kernels.bilinear_scan(p, 1) == ((), (), loop_scan(p, 1))
 

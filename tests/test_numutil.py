@@ -17,7 +17,6 @@ from tatedual.numutil import (
     check_prime,
     factorize,
     prime_to_part,
-    smallest_factor,
     split_power,
 )
 
@@ -52,7 +51,7 @@ def test_largest_63_bit_prime_accepted():
     ],
 )
 def test_strong_pseudoprimes_rejected_with_smallest_factor(n, factor):
-    assert smallest_factor(n) == factor
+    assert min(factorize(n)) == factor
     assert not miller_rabin_prime(n)
     with pytest.raises(DomainError) as info:
         check_prime(n)
@@ -70,7 +69,7 @@ def test_factorize_splits_the_least_pseudoprime_to_all_12_bases():
 
 def test_miller_rabin_agrees_with_trial_division_below_2e5():
     for n in range(2 * 10 ** 5):
-        assert miller_rabin_prime(n) == (n >= 2 and smallest_factor(n) == n), n
+        assert miller_rabin_prime(n) == (n >= 2 and factorize(n) == {n: 1}), n
 
 
 def test_rho_agrees_with_trial_division_on_word_sized_composites():
@@ -86,9 +85,8 @@ def test_rho_agrees_with_trial_division_on_word_sized_composites():
             assert miller_rabin_prime(f)
             prod *= f ** e
         assert prod == n
-        assert smallest_factor(n) == min(factors)
         if n < 10 ** 12:
-            assert smallest_factor(n) == trial_division(n), n
+            assert min(factors) == trial_division(n), n
 
 
 def split_one_at_a_time(n, p):
@@ -123,7 +121,6 @@ def test_factorize_recovers_products_at_any_size(small, large):
     n = math.prod(small) * math.prod(large)
     expected = {f: (small + large).count(f) for f in set(small + large)}
     assert factorize(n) == expected
-    assert smallest_factor(n) == min(expected)
 
 
 @pytest.mark.parametrize(

