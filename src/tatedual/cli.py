@@ -13,7 +13,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import duality, gamma, padic, supernatural, tate
@@ -49,13 +48,32 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
-@dataclass
 class CommandResult:
-    command: str
-    inputs: dict
-    result: dict | None
-    status: str = "ok"
-    diagnostics: list[str] = field(default_factory=list)
+    """The outcome of one command, filled in as the command runs; results
+    with equal fields compare equal, and none is hashable."""
+
+    __slots__ = ("command", "inputs", "result", "status", "diagnostics")
+    __hash__ = None
+
+    def __init__(self, command: str, inputs: dict, result: dict | None,
+                 status: str = "ok", diagnostics: list[str] | None = None):
+        self.command = command
+        self.inputs = inputs
+        self.result = result
+        self.status = status
+        self.diagnostics = [] if diagnostics is None else diagnostics
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"CommandResult({fields})"
 
     def to_json(self) -> str:
         doc = {

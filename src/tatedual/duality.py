@@ -12,8 +12,8 @@ scan of the whole table decides bilinearity and both nondegeneracies, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import kernels
 from .errors import DomainError, PrecisionError, shown_power
@@ -27,11 +27,19 @@ from .padic import PAdicInt
 ENUMERATION_GUARD = 2 ** 13
 
 
-@dataclass(frozen=True)
-class CircleElement:
+class _CircleElementFields(NamedTuple):
+    value: Fraction
+
+
+class CircleElement(_CircleElementFields):
     """A rational point of R/Z, stored reduced in [0, 1)."""
 
-    value: Fraction
+    __slots__ = ()
+
+    def __new__(cls, value: Fraction):
+        self = tuple.__new__(cls, (value,))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if not 0 <= self.value < 1:
@@ -41,8 +49,7 @@ class CircleElement:
 CIRCLE_ZERO = CircleElement(Fraction(0))
 
 
-@dataclass(frozen=True)
-class PerfectnessReport:
+class PerfectnessReport(NamedTuple):
     p: int
     level: int
     modulus: int

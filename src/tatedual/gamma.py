@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import DomainError, PrecisionError, shown
 from .numutil import check_prime, gcd_with_coefficients, split_power
@@ -32,28 +32,44 @@ from .padic import PAdicInt, prefix_residues
 from .supernatural import INF, SupernaturalNumber
 
 
-@dataclass(frozen=True)
-class CyclicSubgroupQ:
+class _CyclicSubgroupQFields(NamedTuple):
+    generator: Fraction
+
+
+class CyclicSubgroupQ(_CyclicSubgroupQFields):
     """The subgroup generator*Z of Q; generator 0 encodes the trivial group."""
 
-    generator: Fraction
+    __slots__ = ()
+
+    def __new__(cls, generator: Fraction):
+        self = tuple.__new__(cls, (generator,))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if self.generator < 0:
             raise DomainError("group generators are normalized nonnegative")
 
 
-@dataclass(frozen=True)
-class PruferElement:
+class _PruferElementFields(NamedTuple):
+    p: int
+    level: int
+    numerator: int
+
+
+class PruferElement(_PruferElementFields):
     """A fully reduced element a/p**n of the p-power torsion of Q/Z.
 
     level 0 with numerator 0 is the identity; otherwise 0 <= a < p**n with
     p not dividing a, and the element has order exactly p**n.
     """
 
-    p: int
-    level: int
-    numerator: int
+    __slots__ = ()
+
+    def __new__(cls, p: int, level: int, numerator: int):
+        self = tuple.__new__(cls, (p, level, numerator))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         check_prime(self.p)
@@ -78,28 +94,24 @@ class PruferElement:
         return f"{self.numerator}/{self.p}^{self.level}"
 
 
-@dataclass(frozen=True)
-class ContainsOneReport:
+class ContainsOneReport(NamedTuple):
     contains_one: bool
     content: int
 
 
-@dataclass(frozen=True)
-class DensityWitness:
+class DensityWitness(NamedTuple):
     witness: Fraction
     distance: Fraction
 
 
-@dataclass(frozen=True)
-class PruferRelation:
+class PruferRelation(NamedTuple):
     # step n: p*gamma_{n+1} differs from gamma_n by the integer `discrepancy`
     n: int
     holds: bool
     discrepancy: int
 
 
-@dataclass(frozen=True)
-class PruferRelationsReport:
+class PruferRelationsReport(NamedTuple):
     p_gamma1_zero: bool
     relations: tuple[PruferRelation, ...]
     levels: tuple[int, ...]
@@ -110,8 +122,7 @@ class PruferRelationsReport:
         return self.p_gamma1_zero and all(r.holds for r in self.relations)
 
 
-@dataclass(frozen=True)
-class SupernaturalLimit:
+class SupernaturalLimit(NamedTuple):
     sn: SupernaturalNumber
     scale: int
     stabilized: bool
@@ -273,8 +284,8 @@ def supernatural_limit(q: PAdicInt) -> SupernaturalLimit:
     window = list(accumulate(q.digits, math.gcd))[-3:]
     scale = window[-1]
     stabilized = len(window) == 3 and all(c == scale for c in window)
-    return SupernaturalLimit(
-        sn=SupernaturalNumber({q.p: INF}), scale=scale, stabilized=stabilized
+    return SupernaturalLimit(  # q.p passed check_prime when q was built
+        sn=SupernaturalNumber._proven({q.p: INF}), scale=scale, stabilized=stabilized
     )
 
 

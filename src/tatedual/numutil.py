@@ -114,18 +114,19 @@ def check_provable_prime(
     p: int,
     bound: int = _MR_EXACT_BELOW,
     too_large: str = f"is not below {_MR_EXACT_BELOW}, the bound of proven primality",
+    name: str = "p={}",
 ) -> None:
     """Reject p unless it is a prime below `bound`; by default, exactly the
-    primes that `factorize` can prove."""
+    primes that `factorize` can prove.  Messages name p as `name.format(p)`."""
     if not isinstance(p, int) or isinstance(p, bool):
         raise DomainError(f"p must be an integer, got {p!r}")
     if p < 2:
-        raise DomainError(f"p={p} is not prime (primes start at 2)")
+        raise DomainError(f"{name.format(p)} is not prime (primes start at 2)")
     if p >= bound:
-        raise DomainError(f"p={p} {too_large}")
+        raise DomainError(f"{name.format(p)} {too_large}")
     if not _miller_rabin(p):
         # factorize only names the divisor for the message
-        raise DomainError(f"p={p} is not prime (divisible by {min(factorize(p))})")
+        raise DomainError(f"{name.format(p)} is not prime (divisible by {min(factorize(p))})")
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -9,8 +9,8 @@ operations are exact mod p**N and never extend precision on their own.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import kernels
 from .errors import DomainError
@@ -27,14 +27,14 @@ class _AtLeastPrecision:
 AT_LEAST_PRECISION = _AtLeastPrecision()
 
 
-@dataclass(frozen=True, init=False)
 class PAdicInt:
     """A p-adic integer known mod p**N, held as its canonical integer
     `value` in [0, p**N); the N base-p digits are derived on demand.
 
     `PAdicInt(p, digits)` builds one from its little-endian digits and
     validates each of them; ring operations build their results from
-    already reduced integers through `_residue`.
+    already reduced integers through `_residue`.  Values are immutable,
+    compare equal when p, value and precision agree, and are hashable.
     """
 
     p: int
@@ -67,6 +67,23 @@ class PAdicInt:
 
     def __post_init__(self):
         check_prime(self.p)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.value, self.precision) == (other.p, other.value, other.precision)
+
+    def __hash__(self):
+        return hash((self.p, self.value, self.precision))
+
+    def __repr__(self):
+        return f"PAdicInt(p={self.p!r}, value={self.value!r}, precision={self.precision!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def digits(self) -> tuple[int, ...]:
@@ -126,15 +143,23 @@ class PAdicInt:
         return f"{self.value} mod {self.p}^{self.precision}"
 
 
-@dataclass(frozen=True)
-class CanonicalSequence:
+class _CanonicalSequenceFields(NamedTuple):
+    p: int
+    entries: tuple[int, ...]
+
+
+class CanonicalSequence(_CanonicalSequenceFields):
     """The partial-sum residues a_1..a_N of a p-adic integer: a_n is the
     value mod p**n, so 0 <= a_n < p**n and consecutive entries are
     congruent mod p**(n-1).  `canonical_sequence` builds them so; the
     constructor checks only the prime."""
 
-    p: int
-    entries: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, p: int, entries: tuple[int, ...]):
+        self = tuple.__new__(cls, (p, entries))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         check_prime(self.p)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, printable
 from .numutil import check_provable_prime, factorize, split_power
@@ -22,21 +22,36 @@ from .numutil import check_provable_prime, factorize, split_power
 INF = float("inf")  # exponent marker; compared against ints, never summed
 
 
-@dataclass(frozen=True)
-class SupernaturalNumber:
-    """Finite map prime -> exponent (positive int or INF); absent means 0."""
+class _SupernaturalFields(NamedTuple):
+    exponents: dict[int, int | float]
 
-    exponents: dict[int, int | float] = field(default_factory=dict)
+
+class SupernaturalNumber(_SupernaturalFields):
+    """Finite map prime -> exponent (positive int or INF); absent means 0.
+    Unhashable, since the map is a dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, exponents: dict[int, int | float] | None = None):
+        self = tuple.__new__(cls, ({} if exponents is None else exponents,))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         for p, e in self.exponents.items():
-            check_provable_prime(p)
+            check_provable_prime(p, name="supernatural factor {}")
             if e == INF:
                 continue
             if not isinstance(e, int) or isinstance(e, bool) or e < 1:
                 raise DomainError(
                     f"exponent of {p} must be a positive integer or inf, got {e!r}"
                 )
+
+    @classmethod
+    def _proven(cls, exponents: dict[int, int | float]) -> SupernaturalNumber:
+        """The supernatural number of `exponents`, whose keys the caller has
+        already proved prime and whose exponents are positive ints or INF."""
+        return tuple.__new__(cls, (exponents,))
 
     def exponent(self, p: int) -> int | float:
         return self.exponents.get(p, 0)
@@ -48,13 +63,21 @@ class SupernaturalNumber:
         return frozenset(p for p, e in self.exponents.items() if e == INF)
 
 
-@dataclass(frozen=True)
-class UHFDescriptor:
+class _UHFDescriptorFields(NamedTuple):
+    prefix: tuple[int, ...]
+    tail: tuple[int, ...]
+
+
+class UHFDescriptor(_UHFDescriptorFields):
     """An eventually periodic matrix-size sequence: finite prefix plus an
     optional block that repeats forever."""
 
-    prefix: tuple[int, ...] = ()
-    tail: tuple[int, ...] = ()
+    __slots__ = ()
+
+    def __new__(cls, prefix: tuple[int, ...] = (), tail: tuple[int, ...] = ()):
+        self = tuple.__new__(cls, (prefix, tail))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         for k in self.prefix + self.tail:
@@ -62,14 +85,12 @@ class UHFDescriptor:
                 raise DomainError(f"matrix size {k!r} rejected; sizes are integers >= 1")
 
 
-@dataclass(frozen=True)
-class StableIsomorphism:
+class StableIsomorphism(NamedTuple):
     equal: bool
     witness: tuple[int, int] | None
 
 
-@dataclass(frozen=True)
-class TateUHF:
+class TateUHF(NamedTuple):
     descriptor: UHFDescriptor
     k0: SupernaturalNumber
     scale: int
@@ -87,7 +108,7 @@ def supernatural_from_sizes(m: UHFDescriptor) -> SupernaturalNumber:
     for k in m.tail:
         for p in factorize(k):
             exps[p] = INF
-    return SupernaturalNumber(exps)
+    return SupernaturalNumber._proven(exps)  # factorize proved every prime
 
 
 def k0_of(m: UHFDescriptor) -> SupernaturalNumber:

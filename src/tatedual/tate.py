@@ -11,15 +11,14 @@ inverted and no 1/12, so p = 2 and 3 are valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 # padic_from_integer is unused here; perfbench's tracer test rebinds its alias
 from .padic import PAdicInt, padic_from_integer  # noqa: F401
 
 
-@dataclass(frozen=True)
-class TateCoefficients:
+class TateCoefficients(NamedTuple):
     a4: PAdicInt
     a6: PAdicInt
     terms_used: int

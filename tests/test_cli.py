@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from tatedual import numutil, supernatural
 from tatedual.cli import run
 from tatedual.duality import _check_enumeration_guard
 from tatedual.errors import DomainError
+from tatedual.numutil import check_provable_prime
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -255,8 +257,9 @@ def test_precondition_violations_exit_3(capsys):
         ("uhf k0 --desc ;", 3, "malformed descriptor: ';'"),
         # psi_12 passes all 12 bases of the primality test, and is composite
         ("uhf stable-iso --n 318665857834031151167461 --n2 1", 3,
-         "p=318665857834031151167461 is not below 318665857834031151167461, "
-         "the bound of proven primality"),
+         "supernatural factor 318665857834031151167461 is not below "
+         "318665857834031151167461, the bound of proven primality"),
+        ("uhf stable-iso --n 6 --n2 1", 3, "supernatural factor 6 is not prime (divisible by 2)"),
     ],
 )
 @pytest.mark.parametrize("json_mode", [False, True])
@@ -466,6 +469,22 @@ def test_uhf_k0_factorizes_each_tail_size_not_their_product(capsys):
     assert code == 0
     assert doc["result"]["k0"] == "1099511627689^inf*1099511627791^inf"
     assert elapsed < 1.0
+
+
+def test_k0_side_proves_no_prime_that_factorize_proved(capsys, monkeypatch):
+    proofs = []
+
+    def counted(p, *args, **kwargs):
+        proofs.append(p)
+        return check_provable_prime(p, *args, **kwargs)
+
+    for module in (numutil, supernatural):
+        monkeypatch.setattr(module, "check_provable_prime", counted)
+    code, doc = invoke_json(capsys, "uhf", "k0", "--desc", "sizes=1099511627689,997")
+    assert (code, doc["result"]["k0"], proofs) == (0, "997*1099511627689", [])
+    # the counter is live: a factor read from the command line is still proved
+    assert invoke(capsys, "uhf", "stable-iso", "--n", "6", "--n2", "1")[0] == 3
+    assert proofs == [6]
 
 
 def test_contains_one_at_a_small_value_and_large_precision_is_fast(capsys):
