@@ -5,6 +5,9 @@ as key/value text or, with --json, as one canonical JSON document per
 invocation, usage errors included (sorted keys, compact separators, every
 exact value carried as a string).  Exit codes: 0 success, 2 input error,
 3 precondition violation.
+
+Each handler imports the domain modules it runs, so building the parser,
+--help and usage errors load none of them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import re
 import sys
 from fractions import Fraction
 
-from . import duality, gamma, padic, supernatural, tate
 from .errors import DomainError, check_literals, printable
 
 EXIT_OK = 0
@@ -105,10 +107,12 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         raise InputError(f"malformed {what}: {text!r}") from None
 
 
-def _parse_q(ns, flag: str = "q") -> padic.PAdicInt:
+def _parse_q(ns, flag: str = "q"):
     """Build the p-adic operand from --p/--prec and an integer or a digit
     list like `[0,1,0,0]`, `[5]` (a bracketed text is always a list) or
     `0,1,0,0`."""
+    from . import padic
+
     raw = getattr(ns, flag)
     if raw is None:
         raise InputError(f"--{flag} is required")
@@ -140,13 +144,15 @@ def _fraction(x: Fraction) -> str:
     return str(x)
 
 
-def _residue(x: padic.PAdicInt) -> str:
+def _residue(x) -> str:
     # also bounds every a_n <= x.value that a command prints next to it
     printable(x.value)
     return str(x)
 
 
 def _cmd_padic_canon(ns):
+    from . import padic
+
     q = _parse_q(ns)
     q_text = _residue(q)
     seq = padic.canonical_sequence(q)
@@ -159,6 +165,8 @@ def _cmd_padic_canon(ns):
 
 
 def _cmd_padic_arith(ns):
+    from . import padic
+
     x = _parse_q(ns, "x")
     y = _parse_q(ns, "y") if ns.y is not None else None
     out = padic.arithmetic(ns.op, x, y)
@@ -170,16 +178,22 @@ def _cmd_padic_arith(ns):
 
 
 def _cmd_gamma_gens(ns):
+    from . import gamma
+
     q = _parse_q(ns)
     return {"generators": [_fraction(g) for g in gamma.gamma_generators(q)]}
 
 
 def _cmd_gamma_group(ns):
+    from . import gamma
+
     q = _parse_q(ns)
     return {"generator": _fraction(gamma.gamma_group(q).generator)}
 
 
 def _cmd_gamma_prufer_check(ns):
+    from . import gamma
+
     q = _parse_q(ns)
     report = gamma.prufer_relations_check(q)
     return {
@@ -195,12 +209,16 @@ def _cmd_gamma_prufer_check(ns):
 
 
 def _cmd_gamma_contains_one(ns):
+    from . import gamma
+
     q = _parse_q(ns)
     report = gamma.contains_one_report(q)
     return {"contains_one": report.contains_one, "content": report.content}
 
 
 def _cmd_gamma_density(ns):
+    from . import gamma
+
     q = _parse_q(ns)
     target = _parse_fraction(ns.target, "--target")
     epsilon = _parse_fraction(ns.epsilon, "--epsilon")
@@ -209,6 +227,8 @@ def _cmd_gamma_density(ns):
 
 
 def _cmd_gamma_limit(ns):
+    from . import gamma, supernatural
+
     q = _parse_q(ns)
     limit = gamma.supernatural_limit(q)
     return {
@@ -219,6 +239,8 @@ def _cmd_gamma_limit(ns):
 
 
 def _cmd_uhf_k0(ns):
+    from . import supernatural
+
     desc = supernatural.parse_descriptor(ns.desc)
     return {
         "descriptor": supernatural.format_descriptor(desc),
@@ -227,6 +249,8 @@ def _cmd_uhf_k0(ns):
 
 
 def _cmd_uhf_stable_iso(ns):
+    from . import supernatural
+
     n = supernatural.parse_supernatural(ns.n)
     n2 = supernatural.parse_supernatural(ns.n2)
     decision = supernatural.stably_isomorphic(n, n2)
@@ -237,6 +261,8 @@ def _cmd_uhf_stable_iso(ns):
 
 
 def _cmd_uhf_from_tate(ns):
+    from . import supernatural
+
     q = _parse_q(ns)
     out = supernatural.uhf_from_tate(q)
     doc = {
@@ -250,6 +276,8 @@ def _cmd_uhf_from_tate(ns):
 
 
 def _cmd_tate_coeffs(ns):
+    from . import tate
+
     q = _parse_q(ns)
     coeffs = tate.tate_coefficients(q)
     return {
@@ -263,6 +291,8 @@ def _cmd_tate_coeffs(ns):
 
 
 def _cmd_dual_pair(ns):
+    from . import duality, gamma
+
     z = _parse_q(ns, "z")
     g = gamma.parse_prufer(ns.gamma, ns.p)
     value = duality.pair(z, g)
@@ -271,6 +301,8 @@ def _cmd_dual_pair(ns):
 
 
 def _cmd_dual_check(ns):
+    from . import duality
+
     report = duality.perfectness_check(ns.p, ns.level)
     return {
         "p": report.p,
@@ -289,7 +321,8 @@ _FLAGS = {
     "--p": dict(type=int, required=True, help="prime"),
     "--prec": dict(type=int, help="precision N"),
     "--q": dict(help="integer or digit list [c0,c1,...]"),
-    "--op": dict(required=True, choices=list(padic.ARITHMETIC_OPS)),
+    # padic.ARITHMETIC_OPS in its order, spelled out so the parser needs no padic
+    "--op": dict(required=True, choices=("add", "neg", "mul", "invert")),
     "--x": dict(required=True, help="integer or digit list"),
     "--y": dict(help="second operand where needed"),
     "--target": dict(required=True, help="rational a/b"),

@@ -13,13 +13,15 @@ scan of the whole table decides bilinearity and both nondegeneracies, and
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import kernels
 from .errors import DomainError, PrecisionError, shown_power
-from .gamma import PruferElement, prufer_image
 from .numutil import check_prime
-from .padic import PAdicInt
+
+if TYPE_CHECKING:  # annotations only: `dual check` loads neither module
+    from .gamma import PruferElement
+    from .padic import PAdicInt
 
 # the scan visits modulus**2 cells, one packed row of them per step: 2**13
 # admits 2**26 cells, and a whole `dual check` at 2**13, 8191 or 89**2 takes
@@ -107,8 +109,11 @@ def perfectness_check(p: int, level: int) -> PerfectnessReport:
     modulus = p ** level
     zero_rows, zero_columns, failure = kernels.bilinear_scan(p, level)
     counterexamples = [("left", z) for z in zero_rows]
-    counterexamples += [("right", str(prufer_image(Fraction(c, modulus), p)))
-                        for c in zero_columns]
+    if zero_columns:
+        from .gamma import prufer_image  # deferred: a perfect table needs no gamma
+
+        counterexamples += [("right", str(prufer_image(Fraction(c, modulus), p)))
+                            for c in zero_columns]
     if failure is not None:
         counterexamples.append(failure)
     return PerfectnessReport(

@@ -74,14 +74,23 @@ def _rho_divisor(n: int) -> int:
                 g = gcd(x - y, n)
         if 1 < g < n:
             return g
-    raise DomainError(
-        f"cannot factorize {shown(n)} ({n.bit_length()} bits): Pollard rho "
-        f"found no factor in its budget of {budget} steps"
-    )
+    message = (f"cannot factorize {shown(n)} ({n.bit_length()} bits): Pollard rho "
+               f"found no factor in its budget of {budget} steps")
+    # Below _MR_EXACT_BELOW factorize hands rho only proven composites.  Past
+    # it Miller-Rabin proves nothing, and its 12 powers of about bit_length
+    # squarings each run only if they cost no more than the steps rho spent,
+    # which holds up to about 1,100 bits.
+    if (n >= _MR_EXACT_BELOW and len(_MR_BASES) * n.bit_length() <= budget
+            and _miller_rabin(n)):
+        message += (f"; it is a strong probable prime to bases {_MR_BASES[0]}-{_MR_BASES[-1]}, "
+                    f"so it may be a prime not below {_MR_EXACT_BELOW}, the bound of proven "
+                    f"primality")
+    raise DomainError(message)
 
 
 def _miller_rabin(n: int) -> bool:
-    """Exact primality for 2 <= n < _MR_EXACT_BELOW."""
+    """Exact primality for 2 <= n < _MR_EXACT_BELOW; past it, only a
+    strong-probable-prime test to the same bases."""
     for b in _MR_BASES:
         if n % b == 0:
             return n == b

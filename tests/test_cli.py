@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from tatedual import numutil, supernatural
-from tatedual.cli import run
+from tatedual import numutil, padic, supernatural
+from tatedual.cli import _FLAGS, run
 from tatedual.duality import _check_enumeration_guard
 from tatedual.errors import DomainError
 from tatedual.numutil import check_provable_prime
@@ -223,6 +224,22 @@ def test_input_errors_exit_2(capsys):
         "--target", "x/y", "--epsilon", "1/9",
     )
     assert code == 2
+
+
+def test_op_choices_are_the_padic_arithmetic_ops_in_order(capsys):
+    # the parser spells them out, so that building it loads no padic
+    ops = tuple(padic.ARITHMETIC_OPS)
+    assert _FLAGS["--op"]["choices"] == ops
+    code, out, _ = invoke(capsys, "padic", "arith", "--help")
+    assert code == 0
+    assert "--op {" + ",".join(ops) + "}" in out
+    code, out, err = invoke(capsys, "padic", "arith", "--op", "sub", "--p", "3", "--x", "1",
+                            "--json")
+    assert code == 2
+    (diagnostic,) = _single_error_document(out, err)["diagnostics"]
+    listed = ", ".join(f"'?{op}'?" for op in ops)  # quoted on some Python versions only
+    assert re.fullmatch(rf"argument --op: invalid choice: '?sub'? \(choose from {listed}\)",
+                        diagnostic)
 
 
 def test_precondition_violations_exit_3(capsys):
@@ -534,20 +551,29 @@ def test_uhf_k0_splits_the_square_of_a_40_bit_prime(capsys):
     assert elapsed < 3.0
 
 
-def test_uhf_k0_size_rho_cannot_split_names_the_budget(capsys):
-    # an 81-bit probable prime: Miller-Rabin is not exact there and rho finds nothing
+_MAY_BE_PRIME = ("; it is a strong probable prime to bases 2-37, so it may be a prime not "
+                 "below 318665857834031151167461, the bound of proven primality")
+
+
+def _rho_gives_up(capsys, size):
     start = time.perf_counter()
-    code, out, err = invoke(
-        capsys, "uhf", "k0", "--desc", "sizes=1208925819614629174706189", "--json"
-    )
+    code, out, err = invoke(capsys, "uhf", "k0", "--desc", f"sizes={size}", "--json")
     elapsed = time.perf_counter() - start
     assert code == 3
-    doc = _single_error_document(out, err)
-    assert doc["diagnostics"] == [
-        "cannot factorize 1208925819614629174706189 (81 bits): Pollard rho found no "
-        "factor in its budget of 1048576 steps"
+    assert _single_error_document(out, err)["diagnostics"] == [
+        f"cannot factorize {size} ({size.bit_length()} bits): Pollard rho found no "
+        f"factor in its budget of 1048576 steps{_MAY_BE_PRIME}"
     ]
     assert elapsed < 3.0
+
+
+def test_uhf_k0_size_rho_cannot_split_names_the_budget(capsys):
+    # an 81-bit probable prime: Miller-Rabin is not exact there and rho finds nothing
+    _rho_gives_up(capsys, 1208925819614629174706189)
+
+
+def test_uhf_k0_mersenne_prime_past_the_bound_is_named_a_possible_prime(capsys):
+    _rho_gives_up(capsys, 2 ** 89 - 1)
 
 
 _P65 = "18446744073709551629"  # a 65-bit prime: past the machine word, below the MR bound

@@ -1,7 +1,7 @@
 """Primality: deterministic Miller-Rabin against trial division, the
 composite message that names the smallest divisor, rho factoring against
-trial division and past 2**63, and the p-power split against one division
-at a time."""
+trial division and past 2**63, the message when rho gives up, and the
+p-power split against one division at a time."""
 
 import math
 import random
@@ -147,3 +147,22 @@ def test_factorize_gives_rho_no_cofactor_twice(monkeypatch, n, large_primes):
     # every prime past trial division leaves with all its powers at once
     assert len(set(calls)) == len(calls) <= large_primes
 
+
+@pytest.mark.parametrize(
+    "n, rho_budget, maybe_prime",
+    [
+        (2 ** 89 - 1, 1 << 14, True),  # a Mersenne prime past _MR_EXACT_BELOW
+        (70368744177679 * 70368744177791, 1 << 14, False),  # two 47-bit primes
+        (2 ** 89 - 1, 1 << 12, False),  # 12 powers of 89 bits > the 1024 steps spent
+    ],
+)
+def test_rho_giving_up_on_a_probable_prime_says_it_may_be_prime(monkeypatch, n, rho_budget,
+                                                                   maybe_prime):
+    monkeypatch.setattr(numutil, "_RHO_BUDGET", rho_budget)
+    with pytest.raises(DomainError) as info:
+        factorize(n)
+    message = str(info.value)
+    assert message.startswith(f"cannot factorize {n} ({n.bit_length()} bits): Pollard rho "
+                              "found no factor in its budget of")
+    assert message.endswith("so it may be a prime not below 318665857834031151167461, the "
+                            "bound of proven primality") is maybe_prime

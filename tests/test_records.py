@@ -1,8 +1,10 @@
 """The record contract: every value and result class builds from positional
 or keyword arguments, shows its fields in order, cannot have a field
 assigned (CommandResult excepted), and compares and hashes by its fields.
-Importing the CLI loads neither `dataclasses` nor `inspect`."""
+Importing the CLI loads neither `dataclasses` nor `inspect`, nor any domain
+module until a command runs, and then only the ones that command needs."""
 
+import json
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import tatedual
-from tatedual.cli import CommandResult
+from tatedual.cli import _COMMANDS, CommandResult, run
 from tatedual.duality import CircleElement, PerfectnessReport
 from tatedual.gamma import (
     ContainsOneReport,
@@ -96,12 +98,71 @@ def test_a_residue_is_no_sequence():
         3 * Q  # a tuple would repeat itself here
 
 
+SRC = str(Path(tatedual.__file__).resolve().parents[1])
+CLI_MODULES = {"tatedual", "tatedual.cli", "tatedual.errors"}
+# every child starts this way; package_modules() lists the tatedual.* loaded
+_PRELUDE = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+def package_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "tatedual")
+"""
+# runs the argv after the path, then prints its exit code, stdout and stderr
+# and the package modules it loaded
+_RUN_FIRST = """\
+import contextlib, io, json
+import tatedual.cli
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = tatedual.cli.run(sys.argv[2:])
+print(json.dumps([code, out.getvalue(), err.getvalue(), package_modules()]))
+"""
+
+
+def _fresh(code, *args):
+    """Run `code` in a fresh interpreter without site, user paths or bytecode
+    caches, with this checkout first on sys.path; return its stdout."""
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", _PRELUDE + code, SRC, *args],
+                          capture_output=True, text=True, timeout=60, check=True)
+    return done.stdout
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter without site, so only the package's own imports count
-    src = str(Path(tatedual.__file__).resolve().parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tatedual.cli; "
-            "tatedual.cli.build_parser(); "
-            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, src], capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout.split() == []
+    out = _fresh("import tatedual.cli; tatedual.cli.build_parser(); "
+                 "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), package_modules())")
+    assert out == f"[] {sorted(CLI_MODULES)}\n"  # building the parser loads no domain module
+
+
+# one run of each subcommand, and the domain modules it loads when it runs first
+FIRST_RUNS = [
+    ("padic canon --p 3 --prec 4 --q 6", "padic kernels numutil"),
+    ("padic arith --op invert --p 5 --prec 4 --x 7 --json", "padic kernels numutil"),
+    ("gamma gens --p 2 --q 2 --prec 4", "gamma padic kernels numutil supernatural"),
+    ("gamma group --p 3 --prec 5 --q 6 --json", "gamma padic kernels numutil supernatural"),
+    ("gamma prufer-check --p 2 --prec 4 --q 2", "gamma padic kernels numutil supernatural"),
+    ("gamma contains-one --p 3 --prec 4 --q 6", "gamma padic kernels numutil supernatural"),
+    ("gamma density --p 2 --prec 8 --q 2 --target 1/3 --epsilon 1/10",
+     "gamma padic kernels numutil supernatural"),
+    ("gamma limit --p 3 --prec 6 --q 6 --json", "gamma padic kernels numutil supernatural"),
+    ("uhf k0 --desc sizes=2,6;tail=3", "supernatural numutil"),
+    ("uhf stable-iso --n 2^inf --n2 2^inf*3^2 --json", "supernatural numutil"),
+    ("uhf from-tate --p 2 --q 2 --prec 6", "supernatural gamma padic kernels numutil"),
+    ("tate coeffs --p 3 --q 3 --prec 8 --json", "tate padic kernels numutil"),
+    ("dual pair --p 3 --z 5 --prec 3 --gamma 2/9",
+     "duality gamma padic kernels numutil supernatural"),
+    ("dual check --p 3 --level 2 --json", "duality kernels numutil"),
+]
+
+
+def test_first_runs_cover_every_subcommand():
+    assert [tuple(argv.split()[:2]) for argv, _ in FIRST_RUNS] == [
+        (group, sub) for group, sub, _, _ in _COMMANDS]
+
+
+@pytest.mark.parametrize("argv, modules", FIRST_RUNS, ids=[a for a, _ in FIRST_RUNS])
+def test_a_subcommand_run_first_loads_only_its_modules(capsys, argv, modules):
+    # a circular import shows only when a particular module loads first
+    code, child_out, child_err, loaded = json.loads(_fresh(_RUN_FIRST, *argv.split()))
+    assert (code, child_out, child_err) == (run(argv.split()), *capsys.readouterr())
+    assert code == 0
+    assert set(loaded) == CLI_MODULES | {f"tatedual.{m}" for m in modules.split()}
