@@ -16,6 +16,7 @@ import argparse
 import json
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, check_literals, printable
@@ -50,42 +51,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
-class CommandResult:
-    """The outcome of one command, filled in as the command runs; results
-    with equal fields compare equal, and none is hashable."""
+class CommandResult(namedtuple("CommandResult", "command inputs result status diagnostics",
+                                defaults=("ok", ()))):
+    """The outcome of one command, built once when it ends; results with
+    equal fields compare equal, and none is hashable, since `inputs` is a
+    dict."""
 
-    __slots__ = ("command", "inputs", "result", "status", "diagnostics")
-    __hash__ = None
-
-    def __init__(self, command: str, inputs: dict, result: dict | None,
-                 status: str = "ok", diagnostics: list[str] | None = None):
-        self.command = command
-        self.inputs = inputs
-        self.result = result
-        self.status = status
-        self.diagnostics = [] if diagnostics is None else diagnostics
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"CommandResult({fields})"
+    __slots__ = ()
 
     def to_json(self) -> str:
-        doc = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "result": self.result,
-            "status": self.status,
-            "diagnostics": self.diagnostics,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return json.dumps(self._asdict(), sort_keys=True, separators=(",", ":"))
 
     def to_text(self) -> str:
         lines = []
@@ -386,9 +361,7 @@ def _usage_error(exc: _UsageError, argv: list[str]) -> int:
     own usage text on stderr."""
     if any(len(arg) > 2 and "--json".startswith(arg) for arg in argv):
         command = exc.parser.prog.partition(" ")[2]  # the subcommand path reached
-        outcome = CommandResult(command=command, inputs={}, result=None, status="error")
-        outcome.diagnostics.append(str(exc))
-        print(outcome.to_json())
+        print(CommandResult(command, {}, None, "error", (str(exc),)).to_json())
         return EXIT_INPUT
     try:
         argparse.ArgumentParser.error(exc.parser, str(exc))
@@ -405,20 +378,13 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:  # --help has printed its text
         code = exc.code if isinstance(exc.code, int) else EXIT_INPUT
         return code
-    command = f"{ns.group} {ns.sub}"
-    outcome = CommandResult(command=command, inputs=_echo_inputs(ns), result=None)
-    code = EXIT_OK
+    command, inputs = f"{ns.group} {ns.sub}", _echo_inputs(ns)
     try:
         check_literals(v for v in vars(ns).values() if isinstance(v, str))
-        outcome.result = ns.handler(ns)
-    except InputError as exc:
-        outcome.status = "error"
-        outcome.diagnostics.append(str(exc))
-        code = EXIT_INPUT
-    except DomainError as exc:
-        outcome.status = "error"
-        outcome.diagnostics.append(str(exc))
-        code = EXIT_DOMAIN
+        outcome, code = CommandResult(command, inputs, ns.handler(ns)), EXIT_OK
+    except (InputError, DomainError) as exc:
+        outcome = CommandResult(command, inputs, None, "error", (str(exc),))
+        code = EXIT_INPUT if isinstance(exc, InputError) else EXIT_DOMAIN
     if ns.json:
         # one document per invocation, always on stdout
         print(outcome.to_json())

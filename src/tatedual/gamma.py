@@ -24,12 +24,14 @@ import math
 import re
 from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, PrecisionError, shown
 from .numutil import check_prime, gcd_with_coefficients, split_power
 from .padic import PAdicInt, prefix_residues
-from .supernatural import INF, SupernaturalNumber
+
+if TYPE_CHECKING:
+    from .supernatural import SupernaturalNumber
 
 
 class _CyclicSubgroupQFields(NamedTuple):
@@ -279,6 +281,8 @@ def supernatural_limit(q: PAdicInt) -> SupernaturalLimit:
     content / p**(n - v), so the group tends to content * Z[1/p].  The
     supernatural shape is p^inf; `scale` is the latest content and
     `stabilized` says whether it was constant over the last 3 levels."""
+    from .supernatural import INF, SupernaturalNumber  # only this function needs it
+
     _positive_valuation(q)
     # content_n = gcd(c_0, ..., c_{n-1}) at the last three levels n
     window = list(accumulate(q.digits, math.gcd))[-3:]

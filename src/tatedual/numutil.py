@@ -115,24 +115,23 @@ def check_prime(p: int) -> None:
     """Reject p unless it is a prime fitting in a machine word."""
     if type(p) is int and p in _VERIFIED_PRIMES:
         return
-    check_provable_prime(p, 1 << MAX_PRIME_BITS, "does not fit in a machine word")
+    if isinstance(p, int) and p >= 1 << MAX_PRIME_BITS:  # no bool is this large
+        raise DomainError(f"p={p} does not fit in a machine word")
+    check_provable_prime(p)
     _VERIFIED_PRIMES.add(p)
 
 
-def check_provable_prime(
-    p: int,
-    bound: int = _MR_EXACT_BELOW,
-    too_large: str = f"is not below {_MR_EXACT_BELOW}, the bound of proven primality",
-    name: str = "p={}",
-) -> None:
-    """Reject p unless it is a prime below `bound`; by default, exactly the
-    primes that `factorize` can prove.  Messages name p as `name.format(p)`."""
+def check_provable_prime(p: int, name: str = "p={}") -> None:
+    """Reject p unless it is a prime that `factorize` can prove, i.e. below
+    _MR_EXACT_BELOW.  Messages name p as `name.format(p)`."""
     if not isinstance(p, int) or isinstance(p, bool):
         raise DomainError(f"p must be an integer, got {p!r}")
     if p < 2:
         raise DomainError(f"{name.format(p)} is not prime (primes start at 2)")
-    if p >= bound:
-        raise DomainError(f"{name.format(p)} {too_large}")
+    if p >= _MR_EXACT_BELOW:
+        raise DomainError(
+            f"{name.format(p)} is not below {_MR_EXACT_BELOW}, the bound of proven primality"
+        )
     if not _miller_rabin(p):
         # factorize only names the divisor for the message
         raise DomainError(f"{name.format(p)} is not prime (divisible by {min(factorize(p))})")

@@ -157,7 +157,7 @@ def uhf_from_tate(q) -> TateUHF:
     """The UHF algebra dual to the Tate parameter q, at the K0 level: its
     size sequence repeats q's prime, so K0 is p^inf up to the reported
     integer scale."""
-    from .gamma import supernatural_limit  # deferred: gamma imports this module
+    from .gamma import supernatural_limit  # deferred: only this command needs gamma
 
     limit = supernatural_limit(q)
     label = "CAR" if q.p == 2 else None

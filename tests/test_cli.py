@@ -270,6 +270,10 @@ def test_precondition_violations_exit_3(capsys):
         ("gamma group --p 1 --q 3 --prec 2", 3, "p=1 is not prime (primes start at 2)"),
         ("gamma group --p 18446744073709551557 --q 3 --prec 2", 3,
          "p=18446744073709551557 does not fit in a machine word"),
+        ("gamma group --p 9223372036854775808 --q 3 --prec 2", 3,
+         "p=9223372036854775808 does not fit in a machine word"),
+        ("gamma group --p -5 --q 3 --prec 2", 3, "p=-5 is not prime (primes start at 2)"),
+        ("dual check --p -7 --level 1", 3, "p=-7 is not prime (primes start at 2)"),
         ("dual pair --p 3 --z 1 --prec 2 --gamma 1/0", 3, "zero denominator in '1/0'"),
         ("uhf k0 --desc ;", 3, "malformed descriptor: ';'"),
         # psi_12 passes all 12 bases of the primality test, and is composite
