@@ -6,28 +6,21 @@ invocation, usage errors included (sorted keys, compact separators, every
 exact value carried as a string).  Exit codes: 0 success, 2 input error,
 3 precondition violation.
 
-Each handler imports the domain modules it runs, so building the parser,
---help and usage errors load none of them.
+Each handler imports the domain modules it runs, and `json` and `fractions`
+load where they are used, so building the parser, --help and text-mode
+usage errors load none of them.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import re
 import sys
 from collections import namedtuple
-from fractions import Fraction
 
-from .errors import DomainError, check_literals, printable
+from .errors import DomainError, InputError, check_literals, printable
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
-
-
-class InputError(Exception):
-    """Malformed command-line input (maps to exit code 2)."""
 
 
 class _UsageError(Exception):
@@ -60,6 +53,8 @@ class CommandResult(namedtuple("CommandResult", "command inputs result status di
     __slots__ = ()
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self._asdict(), sort_keys=True, separators=(",", ":"))
 
     def to_text(self) -> str:
@@ -75,7 +70,9 @@ class CommandResult(namedtuple("CommandResult", "command inputs result status di
         return "\n".join(lines)
 
 
-def _parse_fraction(text: str, what: str) -> Fraction:
+def _parse_fraction(text: str, what: str) -> "Fraction":
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -114,7 +111,7 @@ def _parse_q(ns, flag: str = "q"):
     return padic.padic_from_integer(value, ns.p, ns.prec)
 
 
-def _fraction(x: Fraction) -> str:
+def _fraction(x: "Fraction") -> str:
     printable(x.numerator, x.denominator)
     return str(x)
 
@@ -382,7 +379,7 @@ def run(argv: list[str]) -> int:
     try:
         check_literals(v for v in vars(ns).values() if isinstance(v, str))
         outcome, code = CommandResult(command, inputs, ns.handler(ns)), EXIT_OK
-    except (InputError, DomainError) as exc:
+    except DomainError as exc:
         outcome = CommandResult(command, inputs, None, "error", (str(exc),))
         code = EXIT_INPUT if isinstance(exc, InputError) else EXIT_DOMAIN
     if ns.json:

@@ -12,16 +12,12 @@ scan of the whole table decides bilinearity and both nondegeneracies, and
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
 
 from . import kernels
 from .errors import DomainError, PrecisionError, shown_power
 from .numutil import check_prime
-
-if TYPE_CHECKING:  # annotations only: `dual check` loads neither module
-    from .gamma import PruferElement
-    from .padic import PAdicInt
 
 # the scan visits modulus**2 cells, one packed row of them per step: 2**13
 # admits 2**26 cells, and a whole `dual check` at 2**13, 8191 or 89**2 takes
@@ -29,11 +25,7 @@ if TYPE_CHECKING:  # annotations only: `dual check` loads neither module
 ENUMERATION_GUARD = 2 ** 13
 
 
-class _CircleElementFields(NamedTuple):
-    value: Fraction
-
-
-class CircleElement(_CircleElementFields):
+class CircleElement(namedtuple("CircleElement", "value")):
     """A rational point of R/Z, stored reduced in [0, 1)."""
 
     __slots__ = ()
@@ -51,14 +43,9 @@ class CircleElement(_CircleElementFields):
 CIRCLE_ZERO = CircleElement(Fraction(0))
 
 
-class PerfectnessReport(NamedTuple):
-    p: int
-    level: int
-    modulus: int
-    left_nondegenerate: bool
-    right_nondegenerate: bool
-    bilinear: bool
-    counterexamples: tuple
+class PerfectnessReport(namedtuple("PerfectnessReport", "p level modulus left_nondegenerate "
+                                   "right_nondegenerate bilinear counterexamples")):
+    __slots__ = ()
 
     @property
     def perfect(self) -> bool:

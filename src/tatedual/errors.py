@@ -1,12 +1,18 @@
 import math
 import re
 import sys
-from decimal import Context, Decimal, localcontext
-from fractions import Fraction
+
+# decimal and fractions load only where a message or a prime-power count needs
+# them, so importing the CLI and building its parser load neither
 
 
 class DomainError(ValueError):
     """An operation was called outside its domain (bad input or violated precondition)."""
+
+
+class InputError(DomainError):
+    """Malformed input text, such as an option the CLI cannot parse (exit
+    code 2 there); a DomainError, so callers that catch that catch this too."""
 
 
 class PrecisionError(DomainError):
@@ -45,6 +51,8 @@ def digits_past_limit(n: int | list[tuple[int, int]]) -> int:
     elif not limit or (bits := sum(e * p.bit_length() for p, e in n)) < 4 * limit:
         return limit and digits_past_limit(math.prod(p ** e for p, e in n))  # no limit: 0
     else:
+        from decimal import Context, Decimal, localcontext
+
         prec = 20 + bits.bit_length() // 3  # more than the log's integer digits
         while True:
             with localcontext(Context(prec=prec)):
@@ -94,6 +102,8 @@ def shown_power(p: int, e: int) -> str:
 def shown(x) -> str:
     """An int or Fraction as message text; a numerator or denominator too
     long for str() is named by its decimal digit count, as `<D digits>`."""
+    from fractions import Fraction
+
     x = Fraction(x)
     parts = (x.numerator,) if x.denominator == 1 else (x.numerator, x.denominator)
     return "/".join(

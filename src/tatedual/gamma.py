@@ -22,23 +22,16 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
-from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DomainError, PrecisionError, shown
+from .errors import DomainError, InputError, PrecisionError, shown
 from .numutil import check_prime, gcd_with_coefficients, split_power
 from .padic import PAdicInt, prefix_residues
 
-if TYPE_CHECKING:
-    from .supernatural import SupernaturalNumber
 
-
-class _CyclicSubgroupQFields(NamedTuple):
-    generator: Fraction
-
-
-class CyclicSubgroupQ(_CyclicSubgroupQFields):
+class CyclicSubgroupQ(namedtuple("CyclicSubgroupQ", "generator")):
     """The subgroup generator*Z of Q; generator 0 encodes the trivial group."""
 
     __slots__ = ()
@@ -53,13 +46,7 @@ class CyclicSubgroupQ(_CyclicSubgroupQFields):
             raise DomainError("group generators are normalized nonnegative")
 
 
-class _PruferElementFields(NamedTuple):
-    p: int
-    level: int
-    numerator: int
-
-
-class PruferElement(_PruferElementFields):
+class PruferElement(namedtuple("PruferElement", "p level numerator")):
     """A fully reduced element a/p**n of the p-power torsion of Q/Z.
 
     level 0 with numerator 0 is the identity; otherwise 0 <= a < p**n with
@@ -96,38 +83,25 @@ class PruferElement(_PruferElementFields):
         return f"{self.numerator}/{self.p}^{self.level}"
 
 
-class ContainsOneReport(NamedTuple):
-    contains_one: bool
-    content: int
+ContainsOneReport = namedtuple("ContainsOneReport", "contains_one content")
+DensityWitness = namedtuple("DensityWitness", "witness distance")  # two Fractions
+# step n: p*gamma_{n+1} differs from gamma_n by the integer `discrepancy`
+PruferRelation = namedtuple("PruferRelation", "n holds discrepancy")
 
 
-class DensityWitness(NamedTuple):
-    witness: Fraction
-    distance: Fraction
+class PruferRelationsReport(namedtuple("PruferRelationsReport",
+                                       "p_gamma1_zero relations levels unbounded_order")):
+    """`relations` is a tuple of PruferRelation, `levels` a tuple of ints."""
 
-
-class PruferRelation(NamedTuple):
-    # step n: p*gamma_{n+1} differs from gamma_n by the integer `discrepancy`
-    n: int
-    holds: bool
-    discrepancy: int
-
-
-class PruferRelationsReport(NamedTuple):
-    p_gamma1_zero: bool
-    relations: tuple[PruferRelation, ...]
-    levels: tuple[int, ...]
-    unbounded_order: bool
+    __slots__ = ()
 
     @property
     def all_hold(self) -> bool:
         return self.p_gamma1_zero and all(r.holds for r in self.relations)
 
 
-class SupernaturalLimit(NamedTuple):
-    sn: SupernaturalNumber
-    scale: int
-    stabilized: bool
+# sn is a SupernaturalNumber; unhashable, since its exponents are a dict
+SupernaturalLimit = namedtuple("SupernaturalLimit", "sn scale stabilized")
 
 
 def _require_nonzero(q: PAdicInt) -> None:
@@ -301,9 +275,9 @@ def parse_prufer(text: str, p: int) -> PruferElement:
     and reduce it into the p-power torsion of Q/Z."""
     m = _PRUFER_RE.match(text)
     if m is None:
-        raise DomainError(f"malformed torsion element: {text!r}")
+        raise InputError(f"malformed torsion element: {text!r}")
     num = int(m.group(1))
     den = int(m.group(2) or 1) ** int(m.group(3) or 1)
     if den == 0:
-        raise DomainError(f"zero denominator in {text!r}")
+        raise InputError(f"zero denominator in {text!r}")
     return prufer_image(Fraction(num, den), p)

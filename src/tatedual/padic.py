@@ -9,8 +9,8 @@ operations are exact mod p**N and never extend precision on their own.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from . import kernels
 from .errors import DomainError
@@ -143,12 +143,7 @@ class PAdicInt:
         return f"{self.value} mod {self.p}^{self.precision}"
 
 
-class _CanonicalSequenceFields(NamedTuple):
-    p: int
-    entries: tuple[int, ...]
-
-
-class CanonicalSequence(_CanonicalSequenceFields):
+class CanonicalSequence(namedtuple("CanonicalSequence", "p entries")):
     """The partial-sum residues a_1..a_N of a p-adic integer: a_n is the
     value mod p**n, so 0 <= a_n < p**n and consecutive entries are
     congruent mod p**(n-1).  `canonical_sequence` builds them so; the

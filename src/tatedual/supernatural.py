@@ -13,20 +13,16 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
-from .errors import DomainError, printable
+from .errors import DomainError, InputError, printable
 from .numutil import check_provable_prime, factorize, split_power
 
 INF = float("inf")  # exponent marker; compared against ints, never summed
 
 
-class _SupernaturalFields(NamedTuple):
-    exponents: dict[int, int | float]
-
-
-class SupernaturalNumber(_SupernaturalFields):
+class SupernaturalNumber(namedtuple("SupernaturalNumber", "exponents")):
     """Finite map prime -> exponent (positive int or INF); absent means 0.
     Unhashable, since the map is a dict."""
 
@@ -63,12 +59,7 @@ class SupernaturalNumber(_SupernaturalFields):
         return frozenset(p for p, e in self.exponents.items() if e == INF)
 
 
-class _UHFDescriptorFields(NamedTuple):
-    prefix: tuple[int, ...]
-    tail: tuple[int, ...]
-
-
-class UHFDescriptor(_UHFDescriptorFields):
+class UHFDescriptor(namedtuple("UHFDescriptor", "prefix tail")):
     """An eventually periodic matrix-size sequence: finite prefix plus an
     optional block that repeats forever."""
 
@@ -85,16 +76,10 @@ class UHFDescriptor(_UHFDescriptorFields):
                 raise DomainError(f"matrix size {k!r} rejected; sizes are integers >= 1")
 
 
-class StableIsomorphism(NamedTuple):
-    equal: bool
-    witness: tuple[int, int] | None
-
-
-class TateUHF(NamedTuple):
-    descriptor: UHFDescriptor
-    k0: SupernaturalNumber
-    scale: int
-    label: str | None
+# witness: the minimal (r, s) when equal, else None
+StableIsomorphism = namedtuple("StableIsomorphism", "equal witness")
+# label: "CAR" for the CAR algebra, else None
+TateUHF = namedtuple("TateUHF", "descriptor k0 scale label")
 
 
 def supernatural_from_sizes(m: UHFDescriptor) -> SupernaturalNumber:
@@ -181,7 +166,7 @@ def parse_supernatural(text: str) -> SupernaturalNumber:
     for part in text.split("*"):
         m = _FACTOR_RE.match(part.strip())
         if m is None:
-            raise DomainError(f"malformed supernatural factor: {part!r}")
+            raise InputError(f"malformed supernatural factor: {part!r}")
         p = int(m.group(1))
         raw = m.group(2)
         e: int | float = 1 if raw is None else (INF if raw == "inf" else int(raw))
@@ -220,18 +205,18 @@ def parse_descriptor(text: str) -> UHFDescriptor:
         key, sep, body = chunk.partition("=")
         key = key.strip()
         if not sep or key not in ("sizes", "tail") or key in seen:
-            raise DomainError(f"malformed descriptor chunk: {chunk!r}")
+            raise InputError(f"malformed descriptor chunk: {chunk!r}")
         seen.add(key)
         try:
             values = tuple(int(s) for s in body.split(",") if s.strip())
         except ValueError:
-            raise DomainError(f"malformed size list: {body!r}") from None
+            raise InputError(f"malformed size list: {body!r}") from None
         if key == "sizes":
             prefix = values
         else:
             tail = values
     if not seen:
-        raise DomainError(f"malformed descriptor: {text!r}")
+        raise InputError(f"malformed descriptor: {text!r}")
     return UHFDescriptor(prefix=prefix, tail=tail)
 
 

@@ -11,18 +11,14 @@ inverted and no 1/12, so p = 2 and 3 are valid.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import DomainError
 # padic_from_integer is unused here; perfbench's tracer test rebinds its alias
 from .padic import PAdicInt, padic_from_integer  # noqa: F401
 
 
-class TateCoefficients(NamedTuple):
-    a4: PAdicInt
-    a6: PAdicInt
-    terms_used: int
-    q_valuation: int
+TateCoefficients = namedtuple("TateCoefficients", "a4 a6 terms_used q_valuation")
 
 
 def _tate_valuation(q: PAdicInt) -> int:

@@ -260,6 +260,36 @@ def test_precondition_violations_exit_3(capsys):
     assert code == 3
 
 
+# (flag, argv, diagnostic): malformed text in each free-text option exits 2
+MALFORMED_TEXT = [
+    ("--q", "padic canon --p 2 --prec 2 --q 1e3",
+     "--q must be an integer or digit list, got '1e3'"),
+    ("--x", "padic arith --op neg --p 3 --prec 2 --x 1.5",
+     "--x must be an integer or digit list, got '1.5'"),
+    ("--y", "padic arith --op add --p 3 --prec 2 --x 1 --y [1,x]",
+     "malformed digit list for --y: '[1,x]'"),
+    ("--z", "dual pair --p 3 --prec 2 --z z --gamma 1/3",
+     "--z must be an integer or digit list, got 'z'"),
+    ("--gamma", "dual pair --p 3 --z 1 --prec 2 --gamma 1/4^-1",
+     "malformed torsion element: '1/4^-1'"),
+    ("--gamma", "dual pair --p 3 --z 1 --prec 2 --gamma 0/0", "zero denominator in '0/0'"),
+    ("--target", "gamma density --p 3 --q 3 --prec 4 --target nan --epsilon 1/9",
+     "malformed --target: 'nan'"),
+    ("--epsilon", "gamma density --p 3 --q 3 --prec 4 --target 1/2 --epsilon 1/0",
+     "malformed --epsilon: '1/0'"),
+    ("--desc", "uhf k0 --desc sizes=2^3", "malformed size list: '2^3'"),
+    ("--desc", "uhf k0 --desc sizes=2;sizes=3", "malformed descriptor chunk: 'sizes=3'"),
+    ("--n", "uhf stable-iso --n 2^-1 --n2 1", "malformed supernatural factor: '2^-1'"),
+    ("--n2", "uhf stable-iso --n 1 --n2 2*x", "malformed supernatural factor: 'x'"),
+]
+
+
+def test_every_free_text_option_has_a_malformed_case():
+    free_text = {flag for flag, spec in _FLAGS.items()
+                 if not {"type", "choices", "action"} & spec.keys()}
+    assert {flag for flag, _, _ in MALFORMED_TEXT} == free_text
+
+
 @pytest.mark.parametrize(
     "argv, code, diagnostic",
     [
@@ -274,14 +304,22 @@ def test_precondition_violations_exit_3(capsys):
          "p=9223372036854775808 does not fit in a machine word"),
         ("gamma group --p -5 --q 3 --prec 2", 3, "p=-5 is not prime (primes start at 2)"),
         ("dual check --p -7 --level 1", 3, "p=-7 is not prime (primes start at 2)"),
-        ("dual pair --p 3 --z 1 --prec 2 --gamma 1/0", 3, "zero denominator in '1/0'"),
-        ("uhf k0 --desc ;", 3, "malformed descriptor: ';'"),
+        ("dual pair --p 3 --z 1 --prec 2 --gamma 1/0", 2, "zero denominator in '1/0'"),
+        ("uhf k0 --desc ;", 2, "malformed descriptor: ';'"),
         # psi_12 passes all 12 bases of the primality test, and is composite
         ("uhf stable-iso --n 318665857834031151167461 --n2 1", 3,
          "supernatural factor 318665857834031151167461 is not below "
          "318665857834031151167461, the bound of proven primality"),
         ("uhf stable-iso --n 6 --n2 1", 3, "supernatural factor 6 is not prime (divisible by 2)"),
-    ],
+        # well-formed text that breaks a precondition exits 3, one case per parser
+        ("padic canon --p 3 --q [0,5]", 3, "digit c_1=5 out of range [0, 2]"),
+        ("gamma density --p 3 --q 3 --prec 4 --target 1/2 --epsilon 0", 3,
+         "epsilon must be positive, got 0"),
+        ("dual pair --p 3 --z 1 --prec 2 --gamma 1/6", 3,
+         "denominator of 1/6 has a factor 2 prime to 3"),
+        ("uhf k0 --desc sizes=2,0", 3, "matrix size 0 rejected; sizes are integers >= 1"),
+        ("uhf stable-iso --n 2*2 --n2 1", 3, "prime 2 listed twice in '2*2'"),
+    ] + [(argv, 2, diagnostic) for _, argv, diagnostic in MALFORMED_TEXT],
 )
 @pytest.mark.parametrize("json_mode", [False, True])
 def test_rejected_inputs_name_their_fault_in_both_modes(capsys, argv, code, diagnostic,

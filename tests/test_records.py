@@ -1,9 +1,10 @@
 """The record contract: every value and result class, `CommandResult`
 included, builds from positional or keyword arguments, shows its fields in
 order, cannot have a field assigned, and compares and hashes by its fields.
-Importing the CLI loads neither `dataclasses`, `inspect` nor `typing`, nor
-any domain module until a command runs, and then only the ones that command
-needs."""
+Importing the CLI and building its parser load none of `dataclasses`,
+`inspect`, `typing`, `json`, `fractions` or `decimal`, nor any domain
+module; a command run first loads only the domain modules it needs, never
+`typing`, and `json` only with --json."""
 
 import json
 import subprocess
@@ -96,22 +97,29 @@ def test_a_residue_is_no_sequence():
 
 SRC = str(Path(tatedual.__file__).resolve().parents[1])
 CLI_MODULES = {"tatedual", "tatedual.cli", "tatedual.errors"}
-# every child starts this way; package_modules() lists the tatedual.* loaded
+# every child starts this way; package_modules() lists the tatedual.* loaded,
+# and deferred() the standard-library modules that building the parser skips
 _PRELUDE = """\
 import sys
 sys.path.insert(0, sys.argv[1])
 def package_modules():
     return sorted(m for m in sys.modules if m.partition(".")[0] == "tatedual")
+def deferred():
+    watched = {"dataclasses", "inspect", "typing", "json", "fractions", "decimal"}
+    return sorted(watched & set(sys.modules))
 """
-# runs the argv after the path, then prints its exit code, stdout and stderr
-# and the package modules it loaded
+# runs the argv after the path, then prints its exit code, stdout and stderr,
+# the package modules it loaded and the deferred ones, the latter read before
+# the child imports json to print
 _RUN_FIRST = """\
-import contextlib, io, json
+import contextlib, io
 import tatedual.cli
 out, err = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     code = tatedual.cli.run(sys.argv[2:])
-print(json.dumps([code, out.getvalue(), err.getvalue(), package_modules()]))
+stdlib = deferred()
+import json
+print(json.dumps([code, out.getvalue(), err.getvalue(), package_modules(), stdlib]))
 """
 
 
@@ -125,9 +133,14 @@ def _fresh(code, *args):
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     out = _fresh("import tatedual.cli; tatedual.cli.build_parser(); "
-                 "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)), "
-                 "package_modules())")
+                 "print(deferred(), package_modules())")
     assert out == f"[] {sorted(CLI_MODULES)}\n"  # building the parser loads no domain module
+
+
+@pytest.mark.parametrize("argv", ["--help", "uhf k0 --help", "tate coeffs", "gamma nonsense"])
+def test_help_and_text_usage_errors_load_only_the_parser(argv):
+    code, _, _, loaded, deferred = json.loads(_fresh(_RUN_FIRST, *argv.split()))
+    assert (code, loaded, deferred) == (0 if "--help" in argv else 2, sorted(CLI_MODULES), [])
 
 
 # one run of each subcommand, and the domain modules it loads when it runs first
@@ -159,7 +172,13 @@ def test_first_runs_cover_every_subcommand():
 @pytest.mark.parametrize("argv, modules", FIRST_RUNS, ids=[a for a, _ in FIRST_RUNS])
 def test_a_subcommand_run_first_loads_only_its_modules(capsys, argv, modules):
     # a circular import shows only when a particular module loads first
-    code, child_out, child_err, loaded = json.loads(_fresh(_RUN_FIRST, *argv.split()))
+    code, child_out, child_err, loaded, deferred = json.loads(_fresh(_RUN_FIRST, *argv.split()))
     assert (code, child_out, child_err) == (run(argv.split()), *capsys.readouterr())
     assert code == 0
     assert set(loaded) == CLI_MODULES | {f"tatedual.{m}" for m in modules.split()}
+    # the records are collections.namedtuples, only --json serializes, and
+    # only modules that hold rationals load fractions
+    assert "typing" not in deferred
+    assert ("json" in deferred) == ("--json" in argv)
+    assert ("fractions" in deferred) == bool({"gamma", "duality", "supernatural"}
+                                             & set(modules.split()))
