@@ -266,6 +266,10 @@ def _cmd_dual_pair(ns):
     from . import duality, gamma
 
     z = _parse_q(ns, "z")
+    # the exponent of a/p^k decides a precision error before p**k is built
+    level = gamma.prufer_level(ns.gamma, ns.p)
+    if level is not None:
+        duality.check_precision(z, level)
     g = gamma.parse_prufer(ns.gamma, ns.p)
     value = duality.pair(z, g)
     printable(g.numerator)

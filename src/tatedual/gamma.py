@@ -270,6 +270,17 @@ def supernatural_limit(q: PAdicInt) -> SupernaturalLimit:
 _PRUFER_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+)\s*(?:\^\s*(\d+))?)?\s*$")
 
 
+def prufer_level(text: str, p: int) -> int | None:
+    """The level of the torsion element written `a/p^k` in text, read from
+    the exponent without building p**k: max(0, k - v_p(a)), or 0 for a = 0.
+    None for any other text, malformed ones included."""
+    m = _PRUFER_RE.match(text)
+    if m is None or m.group(3) is None or int(m.group(2)) != p:
+        return None
+    num, k = int(m.group(1)), int(m.group(3))
+    return max(0, k - split_power(abs(num), p)[0]) if num else 0
+
+
 def parse_prufer(text: str, p: int) -> PruferElement:
     """Parse `a/p^n` (also `a/m` for a literal p-power m, or a bare integer)
     and reduce it into the p-power torsion of Q/Z."""

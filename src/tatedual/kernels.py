@@ -9,12 +9,16 @@ output.
 perfectness report: it decides bilinearity and both nondegeneracies.  It
 takes one whole row z of the m x m table per step, with the row packed into
 one int: lane c, W = 3b + 2 bits wide (b = m.bit_length()), holds z*c mod m.
+Each row is built from z alone and compared with the row before it plus
+row 1, one comparison per cell; rows 0 and 1 are checked once, and by
+induction the table is then z*c mod m, which settles the c-step as well.
 A row is reduced in all lanes at once by a Barrett step: multiply by
 r = floor(4**b / m), shift right by 2b and mask each lane to get the
 quotient q, subtract q*m; a conditional subtraction of m finishes.  That
-subtraction sets a guard bit at the top of every lane, subtracts m
-everywhere, and reads which lanes borrowed off the guard bits; subtracting 1
-instead of m reads which lanes are zero.
+subtraction adds 2**(W-1) - m to every lane, which sets the guard bit at
+the top of a lane exactly when the lane held at least m, and turns those
+guard bits into masks that keep the sum in those lanes; setting the guard
+bits and subtracting 1 instead reads which lanes are zero.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ class _Lanes:
         self.ones = int(f"{1:0{w}b}" * m, 2)  # 1 in every lane
         self.quotient_mask = ((1 << w - 2 * b) - 1) * self.ones
         self.guard = self.ones << w - 1
-        self.mods = m * self.ones
+        self.guard_minus_m = self.guard - m * self.ones  # 2**(W-1) - m in every lane
 
     def counting(self):
         """The packed row whose lane c holds c."""
@@ -90,11 +94,15 @@ class _Lanes:
     def wrap(self, x):
         """Every lane of x, each below 2m, brought into [0, m).
 
-        Setting each lane's guard bit and subtracting m everywhere leaves
-        the guard set exactly in the lanes holding at least m; those lanes
-        then lose one m."""
-        at_least_m = ((x | self.guard) - self.mods) & self.guard
-        return x - (at_least_m >> self.width - 1) * self.m
+        Adding 2**(W-1) - m to every lane, which carries into none, sets
+        the guard bit exactly in the lanes holding at least m and leaves
+        x - m below it there.  A set guard g becomes the mask
+        g - (g >> W-1) of its lane's low W-1 bits, which takes those lanes
+        from the sum and the others from x."""
+        lifted = x + self.guard_minus_m
+        at_least_m = lifted & self.guard
+        mask = at_least_m - (at_least_m >> self.width - 1)
+        return x ^ ((x ^ lifted) & mask)
 
 
 def _lanes_set(x, width):
@@ -109,27 +117,52 @@ def bilinear_scan(p, level):
     """Exhaustively check the level-n pairing for additivity in both slots
     and for zero rows and columns.
 
-    Every pair (z, c) in (Z/p^n)^2 is checked for the successor step
-    z -> z+1 (first slot) and c -> c+1 (second slot); by induction that is
-    full bilinearity.  Returns (zero_rows, zero_columns, failure): the
-    z != 0 and the c != 0 whose row or column of z*c vanishes (left and
-    right degeneracy), and None or the first failing (slot, z, c) triple,
-    in z-major then c order with the first slot's check before the
-    second's in each cell.  A failure does not stop the scan.
+    Returns (zero_rows, zero_columns, failure): the z != 0 and the c != 0
+    whose row or column of z*c vanishes (left and right degeneracy), and
+    None or the first failing (slot, z, c) triple of the cell-by-cell walk
+    that checks every pair (z, c) for the successor steps z -> z+1 (first
+    slot) and c -> c+1 (second slot), in z-major then c order with the
+    first slot's check before the second's in each cell.
 
     A whole row z is checked per step, packed as `_Lanes`: row z is built
-    from z alone as z*C (lane c of C holds c) reduced mod m.  The first
-    slot compares row z+1 with row z + row 1 mod m; the second compares row
-    z shifted down one lane with row z + z in every lane mod m (both top
-    lanes are z*m mod m = 0).  Each comparison sets two independent routes
-    against each other, as the cell-by-cell loop does.  A column is zero
-    when its lane is zero in the OR of all rows.
+    from z alone as z*C (lane c of C holds c) reduced mod m, and compared
+    with row z-1 + row 1 mod m, so every cell is compared once, each
+    comparison setting two independent routes against each other.  Rows 0
+    and 1 are compared with 0 and C first.  A table that passes is z*c mod m:
+      - rows 0 and 1 hold 0*c and 1*c in lane c;
+      - if row z holds z*c, row z+1 = row z + row 1 holds z*c + c = (z+1)*c;
+      - so lane c+1 of row z, z*(c+1) = z*c + z, passes the c-step, and no
+        row z != 0 (lane 1 holds z) or column c != 0 (row 1 holds c) is 0.
+    Only a table that fails somewhere is walked again by `_failing_scan`
+    with both comparisons in every cell, for its triple and its zero rows
+    and columns.
     """
     m = p ** level
     if m == 1:
         return (), (), None
     lanes = _Lanes(m)
-    counting, ones, width = lanes.counting(), lanes.ones, lanes.width
+    counting, reduce, wrap = lanes.counting(), lanes.reduce, lanes.wrap
+    row_one = reduce(counting)
+    if reduce(0) == 0 and row_one == counting:
+        row = row_one
+        for z in range(2, m + 1):
+            following = reduce(z % m * counting)
+            if following != wrap(row + row_one):
+                break
+            row = following
+        else:
+            return (), (), None
+    return _failing_scan(lanes)
+
+
+def _failing_scan(lanes):
+    """`bilinear_scan`'s result for a table that fails, walking every row
+    with both steps: the first slot compares row z+1 with row z + row 1 mod
+    m, the second compares row z shifted down one lane with row z + z in
+    every lane mod m (both top lanes are z*m mod m = 0).  A failure does not
+    stop the walk.  A column is zero when its lane is zero in the OR of all
+    rows."""
+    m, counting, ones, width = lanes.m, lanes.counting(), lanes.ones, lanes.width
     reduce, wrap = lanes.reduce, lanes.wrap
     row_one = reduce(counting)
     row = reduce(0)

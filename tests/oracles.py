@@ -4,6 +4,7 @@ against."""
 
 from fractions import Fraction
 
+from tatedual import kernels
 from tatedual.duality import CircleElement
 from tatedual.gamma import CyclicSubgroupQ, PruferElement, prufer_image
 from tatedual.padic import CanonicalSequence, PAdicInt
@@ -93,6 +94,40 @@ def bidual_eval(gamma: PruferElement, z: PAdicInt) -> CircleElement:
     checked against it."""
     z_mod = z.value % (gamma.p ** max(gamma.level, 1))
     return CircleElement((z_mod * _fraction(gamma)) % 1)
+
+
+def two_comparison_scan(p: int, level: int):
+    """`kernels.bilinear_scan`'s (zero rows, zero columns, first failing
+    triple) without the induction it relies on: every packed row z is built
+    from z alone and compared twice per cell, with row z-1 + row 1 (the
+    z-step) and, shifted down one lane, with row z + z in every lane (the
+    c-step)."""
+    m = p ** level
+    if m == 1:
+        return (), (), None
+    lanes = kernels._Lanes(m)
+    counting, ones, width = lanes.counting(), lanes.ones, lanes.width
+    row_one, row = lanes.reduce(counting), lanes.reduce(0)
+    zero_rows, seen, failure = [], 0, None
+    for z in range(m):
+        following = lanes.reduce((z + 1) % m * counting)
+        first_slot = lanes.wrap(row + row_one)
+        second_slot = lanes.wrap(row + z * ones)
+        shifted = row >> width
+        if failure is None and (following != first_slot or shifted != second_slot):
+            c_first = next(kernels._lanes_set(following ^ first_slot, width), None)
+            c_second = next(kernels._lanes_set(shifted ^ second_slot, width), None)
+            if c_second is None or (c_first is not None and c_first <= c_second):
+                failure = ("z-additivity", z, c_first)
+            else:
+                failure = ("gamma-additivity", z, c_second)
+        if not row and z:
+            zero_rows.append(z)
+        seen |= row
+        row = following
+    zero_lanes = (((seen | lanes.guard) - ones) & lanes.guard) ^ lanes.guard
+    zero_columns = tuple(c for c in kernels._lanes_set(zero_lanes, width) if c)
+    return tuple(zero_rows), zero_columns, failure
 
 
 # --- UHF size sequences ----------------------------------------------------------

@@ -448,6 +448,28 @@ def test_dual_pair_at_a_huge_p_power_level_is_a_precision_error(capsys):
     assert elapsed < 1.0
 
 
+def test_dual_pair_level_is_read_from_the_exponent_before_building_the_power(capsys):
+    # the exponent less the numerator's valuation gives the level and its
+    # precision error without building 3^99999999 (19.8 MB, over a minute)
+    message = "pairing at level 99999999 needs z mod 3^99999999, but z carries precision 3"
+    argv = ("dual", "pair", "--p", "3", "--z", "1", "--prec", "3", "--gamma", "1/3^99999999")
+    start = time.perf_counter()
+    assert invoke(capsys, *argv) == (3, "", f"status: error\nerror: {message}\n")
+    code, out, err = invoke(capsys, *argv, "--json")
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert json.loads(out) == {
+        "command": "dual pair", "diagnostics": [message],
+        "inputs": {"gamma": "1/3^99999999", "p": 3, "prec": 3, "z": "1"},
+        "result": None, "status": "error",
+    }
+    assert err == ""
+    assert elapsed < 1.0
+    # a malformed z is still a usage error first
+    assert invoke_json(capsys, "dual", "pair", "--p", "3", "--z", "1x", "--prec", "3",
+                       "--gamma", "1/3^99999999")[0] == 2
+
+
 def test_density_epsilon_past_int_to_str_limit_is_named_by_digit_count(capsys):
     start = time.perf_counter()
     code, out, err = invoke(

@@ -29,6 +29,7 @@ from tatedual.gamma import (
     hull_with_coefficients,
     parse_prufer,
     prufer_image,
+    prufer_level,
     prufer_relations_check,
     supernatural_limit,
 )
@@ -277,6 +278,19 @@ def test_parse_prufer_forms():
         parse_prufer("1/6", 3)
     with pytest.raises(DomainError):
         parse_prufer("x/y", 3)
+
+
+@given(p=st.sampled_from(SMALL_PRIMES), a=st.integers(-10 ** 6, 10 ** 6),
+       k=st.integers(0, 40))
+def test_prufer_level_from_the_exponent_is_the_parsed_level(p, a, k):
+    assert prufer_level(f"{a}/{p}^{k}", p) == parse_prufer(f"{a}/{p}^{k}", p).level
+
+
+def test_prufer_level_reads_only_a_over_p_to_the_k():
+    assert prufer_level(" -3 / 3 ^ 5 ", 3) == 4
+    assert prufer_level("0/3^99999999", 3) == 0
+    for text in ("1/9^2", "1/27", "5", "x/y", "1/3^-1"):
+        assert prufer_level(text, 3) is None
 
 
 # --- relation chain -------------------------------------------------------

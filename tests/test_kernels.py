@@ -1,13 +1,15 @@
 """Residue-kernel tests: the ring operations against a big-integer oracle,
 the digit/integer round trip, and the exhaustive pairing scan: its packed
-rows lane by lane, and its results against the cell-by-cell loop, also
-with one lane corrupted, one row zeroed or one column zeroed."""
+rows lane by lane, and its results against the cell-by-cell loop and the
+two-comparison packed scan, also with one lane corrupted, one row zeroed or
+one column zeroed."""
 
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import two_comparison_scan
 
 from tatedual import kernels
 from tatedual.duality import perfectness_check
@@ -153,6 +155,19 @@ def test_packed_scan_matches_loop(case):
 @given(p=st.sampled_from([n for n in range(11, 2048) if factorize(n) == {n: 1}]))
 def test_packed_scan_matches_loop_at_large_primes(p):
     assert kernels.bilinear_scan(p, 1) == ((), (), loop_scan(p, 1))
+
+
+PRIME_POWERS = sorted(
+    (p, k) for p in range(2, 2 ** 11 + 1) if factorize(p) == {p: 1}
+    for k in range(1, 12) if p ** k <= 2 ** 11
+)
+
+
+@settings(deadline=None, max_examples=20)
+@given(case=st.sampled_from(PRIME_POWERS))
+def test_one_comparison_scan_matches_the_two_comparison_scan(case):
+    # 20 of the prime powers up to 2^11; each case costs at most about 0.1 s
+    assert kernels.bilinear_scan(*case) == two_comparison_scan(*case) == ((), (), None)
 
 
 # m just below, at and just above powers of two, and the largest moduli under
