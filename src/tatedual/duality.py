@@ -22,7 +22,7 @@ from .numutil import check_prime
 
 # the scan visits modulus**2 cells, one packed row of them per step: 2**13
 # admits 2**26 cells, and a whole `dual check` at 2**13, 8191 or 89**2 takes
-# 1.1-1.6 s in pure Python on a 2-vCPU host
+# 0.8-1.4 s in pure Python on a 2-vCPU host
 ENUMERATION_GUARD = 2 ** 13
 
 

@@ -288,7 +288,9 @@ def parse_prufer(text: str, p: int) -> PruferElement:
     if m is None:
         raise InputError(f"malformed torsion element: {text!r}")
     num = int(m.group(1))
-    den = int(m.group(2) or 1) ** int(m.group(3) or 1)
-    if den == 0:
+    base, exponent = int(m.group(2) or 1), int(m.group(3) or 1)
+    if base == 0 and exponent:
         raise InputError(f"zero denominator in {text!r}")
-    return prufer_image(Fraction(num, den), p)
+    # a zero numerator is the zero element over any nonzero denominator,
+    # so 0/b^k builds no power of b
+    return prufer_image(Fraction(num, base ** exponent if num else 1), p)

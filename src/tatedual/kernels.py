@@ -8,17 +8,21 @@ output.
 `bilinear_scan` is the one exhaustive pass behind the finite-level
 perfectness report: it decides bilinearity and both nondegeneracies.  It
 takes one whole row z of the m x m table per step, with the row packed into
-one int: lane c, W = 3b + 2 bits wide (b = m.bit_length()), holds z*c mod m.
-Each row is built from z alone and compared with the row before it plus
-row 1, one comparison per cell; rows 0 and 1 are checked once, and by
-induction the table is then z*c mod m, which settles the c-step as well.
-A row is reduced in all lanes at once by a Barrett step: multiply by
-r = floor(4**b / m), shift right by 2b and mask each lane to get the
-quotient q, subtract q*m; a conditional subtraction of m finishes.  That
-subtraction adds 2**(W-1) - m to every lane, which sets the guard bit at
-the top of a lane exactly when the lane held at least m, and turns those
-guard bits into masks that keep the sum in those lanes; setting the guard
-bits and subtracting 1 instead reads which lanes are zero.
+one int: lane c, W = max(2k, k + 2) bits wide (k = (m-1).bit_length()),
+holds z*c mod m.  Each row is built from z alone and compared with the row
+before it plus row 1, one comparison per cell; rows 0 and 1 are checked
+once, and by induction the table is then z*c mod m, which settles the
+c-step as well.
+Row z is built in all lanes at once by Shoup's multiplication by a
+precomputed quotient constant: with C the row whose lane c holds c and
+t = floor(z * 2**k / m), the lanes of q = (C*t >> k) masked are
+floor(c*t / 2**k), which is floor(z*c/m) or one less because c < 2**k; so
+z*C - q*m holds z*c mod m or that plus m in every lane, all in [0, 2m), and
+a conditional subtraction of m finishes.  That subtraction adds
+2**(W-1) - m to every lane, which sets the guard bit at the top of a lane
+exactly when the lane held at least m, and turns those guard bits into
+masks that keep the sum in those lanes; setting the guard bits and
+subtracting 1 instead reads which lanes are zero.
 """
 
 from __future__ import annotations
@@ -61,35 +65,37 @@ def inv(a, m):
 class _Lanes:
     """m residues mod m packed into one int, lane c at bits [W*c, W*(c+1)).
 
-    W = 3b + 2 for b = m.bit_length(): a lane value below 4**b times the
-    Barrett constant r = floor(4**b / m) stays below 2**(3b+1), so the
-    product of a whole packed int by r carries into no neighbour, and the
-    top bit of each lane is left free as the guard bit of `wrap`.
+    W = max(2k, k + 2) for k = (m-1).bit_length(), so every c and z below m
+    is below 2**k: the lanes z*c of z*C and c*t of C*t stay below 2**(2k)
+    and carry into no neighbour, every row lane below 2m <= 2**(k+1) leaves
+    the top bit of its lane free as the guard bit of `wrap`, and a lane of
+    C*t shifted right by k still fits in the W - k bits that the quotient
+    mask keeps.
     """
 
     def __init__(self, m):
-        b = m.bit_length()
+        k = (m - 1).bit_length()
         self.m = m
-        self.width = w = 3 * b + 2
-        self.shift = 2 * b
-        self.r = (1 << 2 * b) // m
+        self.width = w = max(2 * k, k + 2)
+        self.shift = k
         self.ones = int(f"{1:0{w}b}" * m, 2)  # 1 in every lane
-        self.quotient_mask = ((1 << w - 2 * b) - 1) * self.ones
+        self.quotient_mask = ((1 << w - k) - 1) * self.ones
         self.guard = self.ones << w - 1
         self.guard_minus_m = self.guard - m * self.ones  # 2**(W-1) - m in every lane
+        self.counting = int("".join(f"{c:0{w}b}" for c in reversed(range(m))), 2)
 
-    def counting(self):
-        """The packed row whose lane c holds c."""
-        return int("".join(f"{c:0{self.width}b}" for c in reversed(range(self.m))), 2)
+    def row(self, z):
+        """The packed row whose lane c holds z*c mod m, for 0 <= z < m.
 
-    def reduce(self, x):
-        """Every lane of x mod m, for lanes below 4**b.
-
-        The Barrett quotient q = floor(x*r / 4**b) is at most one short of
-        floor(x/m), since x*r/4**b > x/m - x/4**b > x/m - 1; so x - q*m
-        lies in [0, 2m) and one conditional subtraction finishes."""
-        q = (x * self.r >> self.shift) & self.quotient_mask
-        return self.wrap(x - q * self.m)
+        With t = floor(z * 2**k / m) > z * 2**k / m - 1, lane c of the
+        quotient q is floor(c*t / 2**k), and z*c/m >= c*t / 2**k >
+        z*c/m - c / 2**k > z*c/m - 1 because c < 2**k; so q is floor(z*c/m)
+        or one less, z*c - q*m lies in [0, 2m) and one conditional
+        subtraction finishes."""
+        m, counting = self.m, self.counting
+        t = (z << self.shift) // m
+        q = (counting * t >> self.shift) & self.quotient_mask
+        return self.wrap(z * counting - q * m)
 
     def wrap(self, x):
         """Every lane of x, each below 2m, brought into [0, m).
@@ -125,9 +131,12 @@ def bilinear_scan(p, level):
     first slot's check before the second's in each cell.
 
     A whole row z is checked per step, packed as `_Lanes`: row z is built
-    from z alone as z*C (lane c of C holds c) reduced mod m, and compared
-    with row z-1 + row 1 mod m, so every cell is compared once, each
-    comparison setting two independent routes against each other.  Rows 0
+    from z alone as z*C - q*m (lane c of C holds c) with the Shoup quotient
+    q = (C*floor(z * 2**k / m) >> k) masked, whose lane c is floor(z*c/m)
+    or one less because c < 2**k, so every lane lies in [0, 2m) before
+    `wrap` takes it into [0, m).  Row z is compared with row z-1 + row 1
+    mod m, so every cell is compared once, each comparison setting two
+    independent routes against each other.  Rows 0
     and 1 are compared with 0 and C first.  A table that passes is z*c mod m:
       - rows 0 and 1 hold 0*c and 1*c in lane c;
       - if row z holds z*c, row z+1 = row z + row 1 holds z*c + c = (z+1)*c;
@@ -141,12 +150,12 @@ def bilinear_scan(p, level):
     if m == 1:
         return (), (), None
     lanes = _Lanes(m)
-    counting, reduce, wrap = lanes.counting(), lanes.reduce, lanes.wrap
-    row_one = reduce(counting)
-    if reduce(0) == 0 and row_one == counting:
+    build, wrap = lanes.row, lanes.wrap
+    row_one = build(1)
+    if build(0) == 0 and row_one == lanes.counting:
         row = row_one
         for z in range(2, m + 1):
-            following = reduce(z % m * counting)
+            following = build(z % m)
             if following != wrap(row + row_one):
                 break
             row = following
@@ -162,13 +171,13 @@ def _failing_scan(lanes):
     every lane mod m (both top lanes are z*m mod m = 0).  A failure does not
     stop the walk.  A column is zero when its lane is zero in the OR of all
     rows."""
-    m, counting, ones, width = lanes.m, lanes.counting(), lanes.ones, lanes.width
-    reduce, wrap = lanes.reduce, lanes.wrap
-    row_one = reduce(counting)
-    row = reduce(0)
+    m, ones, width = lanes.m, lanes.ones, lanes.width
+    build, wrap = lanes.row, lanes.wrap
+    row_one = build(1)
+    row = build(0)
     zero_rows, seen, failure = [], 0, None
     for z in range(m):
-        following = reduce((z + 1) % m * counting)
+        following = build((z + 1) % m)
         first_slot = wrap(row + row_one)
         second_slot = wrap(row + z * ones)
         shifted = row >> width

@@ -4,7 +4,6 @@ against."""
 
 from fractions import Fraction
 
-from tatedual import kernels
 from tatedual.duality import CircleElement
 from tatedual.gamma import CyclicSubgroupQ, PruferElement, prufer_image
 from tatedual.padic import CanonicalSequence, PAdicInt
@@ -96,16 +95,66 @@ def bidual_eval(gamma: PruferElement, z: PAdicInt) -> CircleElement:
     return CircleElement((z_mod * _fraction(gamma)) % 1)
 
 
+class _Lanes:
+    """The Barrett layout of `two_comparison_scan`, sharing no row builder
+    with `kernels._Lanes`: m residues mod m packed into one int, lane c at
+    bits [W*c, W*(c+1)), W = 3b + 2 for b = m.bit_length().  A lane value
+    below 4**b times the Barrett constant r = floor(4**b / m) stays below
+    2**(3b+1), so the product of a whole packed int by r carries into no
+    neighbour, and the top bit of each lane is left free as a guard bit."""
+
+    def __init__(self, m):
+        b = m.bit_length()
+        self.m = m
+        self.width = w = 3 * b + 2
+        self.shift = 2 * b
+        self.r = (1 << 2 * b) // m
+        self.ones = int(f"{1:0{w}b}" * m, 2)  # 1 in every lane
+        self.quotient_mask = ((1 << w - 2 * b) - 1) * self.ones
+        self.guard = self.ones << w - 1
+        self.guard_minus_m = self.guard - m * self.ones  # 2**(W-1) - m in every lane
+
+    def counting(self):
+        """The packed row whose lane c holds c."""
+        return int("".join(f"{c:0{self.width}b}" for c in reversed(range(self.m))), 2)
+
+    def reduce(self, x):
+        """Every lane of x mod m, for lanes below 4**b.
+
+        The Barrett quotient q = floor(x*r / 4**b) is at most one short of
+        floor(x/m), since x*r/4**b > x/m - x/4**b > x/m - 1; so x - q*m
+        lies in [0, 2m) and one conditional subtraction finishes."""
+        q = (x * self.r >> self.shift) & self.quotient_mask
+        return self.wrap(x - q * self.m)
+
+    def wrap(self, x):
+        """Every lane of x, each below 2m, brought into [0, m): adding
+        2**(W-1) - m sets the guard bit exactly in the lanes holding at
+        least m, and those lanes take the sum, less the guard bit."""
+        lifted = x + self.guard_minus_m
+        at_least_m = lifted & self.guard
+        mask = at_least_m - (at_least_m >> self.width - 1)
+        return x ^ ((x ^ lifted) & mask)
+
+
+def _lanes_set(x, width):
+    """The lanes of the packed int x holding a nonzero value, lowest first."""
+    while x:
+        low = x & -x
+        yield (low.bit_length() - 1) // width
+        x ^= low
+
+
 def two_comparison_scan(p: int, level: int):
     """`kernels.bilinear_scan`'s (zero rows, zero columns, first failing
-    triple) without the induction it relies on: every packed row z is built
-    from z alone and compared twice per cell, with row z-1 + row 1 (the
-    z-step) and, shifted down one lane, with row z + z in every lane (the
-    c-step)."""
+    triple) without the induction it relies on, and with rows of its own
+    Barrett layout: every packed row z is built from z alone as z*C reduced
+    mod m and compared twice per cell, with row z-1 + row 1 (the z-step)
+    and, shifted down one lane, with row z + z in every lane (the c-step)."""
     m = p ** level
     if m == 1:
         return (), (), None
-    lanes = kernels._Lanes(m)
+    lanes = _Lanes(m)
     counting, ones, width = lanes.counting(), lanes.ones, lanes.width
     row_one, row = lanes.reduce(counting), lanes.reduce(0)
     zero_rows, seen, failure = [], 0, None
@@ -115,8 +164,8 @@ def two_comparison_scan(p: int, level: int):
         second_slot = lanes.wrap(row + z * ones)
         shifted = row >> width
         if failure is None and (following != first_slot or shifted != second_slot):
-            c_first = next(kernels._lanes_set(following ^ first_slot, width), None)
-            c_second = next(kernels._lanes_set(shifted ^ second_slot, width), None)
+            c_first = next(_lanes_set(following ^ first_slot, width), None)
+            c_second = next(_lanes_set(shifted ^ second_slot, width), None)
             if c_second is None or (c_first is not None and c_first <= c_second):
                 failure = ("z-additivity", z, c_first)
             else:
@@ -126,7 +175,7 @@ def two_comparison_scan(p: int, level: int):
         seen |= row
         row = following
     zero_lanes = (((seen | lanes.guard) - ones) & lanes.guard) ^ lanes.guard
-    zero_columns = tuple(c for c in kernels._lanes_set(zero_lanes, width) if c)
+    zero_columns = tuple(c for c in _lanes_set(zero_lanes, width) if c)
     return tuple(zero_rows), zero_columns, failure
 
 

@@ -470,6 +470,33 @@ def test_dual_pair_level_is_read_from_the_exponent_before_building_the_power(cap
                        "--gamma", "1/3^99999999")[0] == 2
 
 
+@pytest.mark.parametrize("gamma", ["0/3^99999999", "0/6^99999999"])
+def test_dual_pair_zero_numerator_builds_no_power_of_the_base(capsys, gamma):
+    # 0/b^k is the zero element for any nonzero b, so b^k (3^3000000 alone
+    # takes about 0.6 s) is never built
+    argv = ("dual", "pair", "--p", "3", "--z", "1", "--prec", "3", "--gamma")
+    small = invoke(capsys, *argv, "0/3^5")
+    small_json = invoke_json(capsys, *argv, "0/3^5")[1]
+    start = time.perf_counter()
+    text = invoke(capsys, *argv, gamma)
+    code, doc = invoke_json(capsys, *argv, gamma)
+    elapsed = time.perf_counter() - start
+    assert text == small == (0, "z: 1 mod 3^3\ngamma: 0\nvalue: 0\n", "")
+    assert code == 0
+    assert doc == {**small_json, "inputs": {**small_json["inputs"], "gamma": gamma}}
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("gamma, code", [("0/0", 2), ("0/0^1", 2), ("0/0^99999999", 2),
+                                         ("0/0^0", 0)])
+def test_dual_pair_zero_over_a_power_of_zero_keeps_its_exit_code(capsys, gamma, code):
+    argv = ("dual", "pair", "--p", "3", "--z", "1", "--prec", "3", "--gamma", gamma)
+    got, out, err = invoke(capsys, *argv)
+    assert got == code
+    if code:
+        assert (out, err) == ("", f"status: error\nerror: zero denominator in '{gamma}'\n")
+
+
 def test_density_epsilon_past_int_to_str_limit_is_named_by_digit_count(capsys):
     start = time.perf_counter()
     code, out, err = invoke(

@@ -1,14 +1,15 @@
 """Residue-kernel tests: the ring operations against a big-integer oracle,
 the digit/integer round trip, and the exhaustive pairing scan: its packed
 rows lane by lane, and its results against the cell-by-cell loop and the
-two-comparison packed scan, also with one lane corrupted, one row zeroed or
-one column zeroed."""
+two-comparison packed scan of the test oracles (a Barrett layout of its
+own), also with one lane corrupted, one row zeroed or one column zeroed."""
 
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracles
 from oracles import two_comparison_scan
 
 from tatedual import kernels
@@ -145,16 +146,24 @@ def small_prime_levels(bound):
     return [(p, k) for p in (2, 3, 5, 7) for k in range(1, 13) if p ** k <= bound]
 
 
+def scan_oracle(p, level):
+    """The cell-by-cell loop's result up to m = 256, where it is cheap, and
+    the two-comparison packed scan's above."""
+    if p ** level <= 256:
+        return (), (), loop_scan(p, level)
+    return two_comparison_scan(p, level)
+
+
 @settings(deadline=None, max_examples=10)
 @given(case=st.sampled_from(small_prime_levels(4096)))
 def test_packed_scan_matches_loop(case):
-    assert kernels.bilinear_scan(*case) == ((), (), loop_scan(*case))
+    assert kernels.bilinear_scan(*case) == scan_oracle(*case)
 
 
 @settings(deadline=None, max_examples=5)
 @given(p=st.sampled_from([n for n in range(11, 2048) if factorize(n) == {n: 1}]))
 def test_packed_scan_matches_loop_at_large_primes(p):
-    assert kernels.bilinear_scan(p, 1) == ((), (), loop_scan(p, 1))
+    assert kernels.bilinear_scan(p, 1) == scan_oracle(p, 1)
 
 
 PRIME_POWERS = sorted(
@@ -175,24 +184,45 @@ def test_one_comparison_scan_matches_the_two_comparison_scan(case):
 LANE_MODULI = sorted({2 ** k + d for k in range(1, 14) for d in (-1, 0, 1)} | {7921})
 
 
+def assert_rows_are_z_times_c_mod_m(lanes, zs):
+    """Each row z equals the int packed from the lanes z*c mod m, so it holds
+    nothing past lane m-1 either."""
+    m = lanes.m
+    lane_bits = [f"{v:0{lanes.width}b}" for v in range(m)]
+    for z in zs:
+        expected = int("".join([lane_bits[z * c % m] for c in reversed(range(m))]), 2)
+        assert lanes.row(z) == expected, f"row {z} at m = {m}"
+
+
 @pytest.mark.parametrize("m", LANE_MODULI)
 def test_packed_row_is_z_times_c_mod_m_in_every_lane(m):
     lanes = kernels._Lanes(m)
-    counting = lanes.counting()
-    assert unpack(counting, lanes) == list(range(m))
+    assert unpack(lanes.counting, lanes) == list(range(m))
     rng = random.Random(m)
-    for z in {0, 1, m - 1, m // 2} | {rng.randrange(m) for _ in range(3)}:
-        row = lanes.reduce(z * counting)
-        assert unpack(row, lanes) == [z * c % m for c in range(m)]
-        assert row >> lanes.width * m == 0
+    assert_rows_are_z_times_c_mod_m(
+        lanes, {0, 1, m - 1, m // 2} | {rng.randrange(m) for _ in range(3)})
+
+
+def test_every_row_is_z_times_c_mod_m_up_to_256():
+    for m in range(2, 257):
+        assert_rows_are_z_times_c_mod_m(kernels._Lanes(m), range(m))
+
+
+@settings(deadline=None)
+@given(m=st.integers(257, 2 ** 13 + 1), data=st.data())
+def test_row_is_z_times_c_mod_m_at_drawn_moduli(m, data):
+    # the Shoup quotient is at most one short in every lane because c < 2**k;
+    # z = m-1 puts the largest products z*c and quotients c*t in the lanes
+    z = data.draw(st.integers(0, m - 1))
+    assert_rows_are_z_times_c_mod_m(kernels._Lanes(m), (0, 1, m - 1, z))
 
 
 @settings(deadline=None)
 @given(m=st.integers(2, 2 ** 13 + 1), data=st.data())
 def test_reduce_takes_every_lane_below_4_to_the_b(m, data):
-    # the layout is sized for any lane below 4**b (b = bits of m), not only
-    # for the products z*c < m**2 that a row holds
-    lanes = kernels._Lanes(m)
+    # the oracle's Barrett layout is sized for any lane below 4**b (b = bits
+    # of m), not only for the products z*c < m**2 that a row holds
+    lanes = oracles._Lanes(m)
     count = min(m, 64)
     values = data.draw(st.lists(st.integers(0, 4 ** m.bit_length() - 1),
                                 min_size=count, max_size=count))
@@ -223,23 +253,23 @@ def first_failure(table, m):
 
 
 def reduced_rows(m):
-    """Every row as `_Lanes.reduce` returns it, unpacked."""
+    """Every row as `_Lanes.row` returns it, unpacked."""
     lanes = kernels._Lanes(m)
-    return [unpack(lanes.reduce(z * lanes.counting()), lanes) for z in range(m)]
+    return [unpack(lanes.row(z), lanes) for z in range(m)]
 
 
 def edit_rows(monkeypatch, edit):
-    """Make the reduction of z*C return edit(lanes, z, row) for its row."""
-    reduce = kernels._Lanes.reduce
+    """Make `_Lanes.row(z)` return edit(lanes, z, row) for its row."""
+    row = kernels._Lanes.row
 
-    def edited(self, x):
-        return edit(self, x // self.counting(), reduce(self, x))
+    def edited(self, z):
+        return edit(self, z, row(self, z))
 
-    monkeypatch.setattr(kernels._Lanes, "reduce", edited)
+    monkeypatch.setattr(kernels._Lanes, "row", edited)
 
 
 def corrupt_lane(monkeypatch, m, z0, c0):
-    """Make the reduction return row z0 with lane c0 moved up by one mod m."""
+    """Make `_Lanes.row` return row z0 with lane c0 moved up by one mod m."""
 
     def corrupted(lanes, z, row):
         if z == z0:
