@@ -222,10 +222,12 @@ def prufer_image(gamma, p: int) -> PruferElement:
     if p ** level != den:
         level, rest = split_power(den, p)
         if rest != 1:
-            raise DomainError(
-                f"denominator of {shown(gamma)} has a factor {shown(rest)} prime to {p}"
-            )
+            raise _foreign_factor(gamma, rest, p)
     return PruferElement(p=p, level=level, numerator=(gamma % 1).numerator)
+
+
+def _foreign_factor(gamma, rest, p) -> DomainError:
+    return DomainError(f"denominator of {shown(gamma)} has a factor {shown(rest)} prime to {p}")
 
 
 def prufer_relations_check(q: PAdicInt) -> PruferRelationsReport:
@@ -293,4 +295,12 @@ def parse_prufer(text: str, p: int) -> PruferElement:
         raise InputError(f"zero denominator in {text!r}")
     # a zero numerator is the zero element over any nonzero denominator,
     # so 0/b^k builds no power of b
-    return prufer_image(Fraction(num, base ** exponent if num else 1), p)
+    gamma = Fraction(num, base ** exponent if num else 1)
+    if num and exponent:
+        # the factor prime to p of the reduced denominator, read off the literal
+        # base b = p^e * b' as b'^k / gcd(a, b'^k) instead of split off b^k
+        check_prime(p)  # before split_power, which needs p >= 2
+        foreign = split_power(base, p)[1] ** exponent
+        if (rest := foreign // math.gcd(num, foreign)) != 1:
+            raise _foreign_factor(gamma, rest, p)
+    return prufer_image(gamma, p)

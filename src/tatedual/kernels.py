@@ -8,24 +8,23 @@ output.
 `bilinear_scan` is the one exhaustive pass behind the finite-level
 perfectness report: it decides bilinearity and both nondegeneracies.  It
 takes one whole row z of the m x m table per step, with the row packed into
-one int: lane c, W = max(2k, k + 2) bits wide (k = (m-1).bit_length()),
-holds z*c mod m.  Each row is built from z alone and compared with the row
-before it plus row 1, one comparison per cell; rows 0 and 1 are checked
-once, and by induction the table is then z*c mod m, which settles the
-c-step as well.
-Row z is built in all lanes at once by Shoup's multiplication by a
-precomputed quotient constant: with C the row whose lane c holds c and
-t = floor(z * 2**k / m), the lanes of q = (C*t >> k) masked are
-floor(c*t / 2**k), which is floor(z*c/m) or one less because c < 2**k; so
-z*C - q*m holds z*c mod m or that plus m in every lane, all in [0, 2m), and
-a conditional subtraction of m finishes.  That subtraction adds
-2**(W-1) - m to every lane, which sets the guard bit at the top of a lane
-exactly when the lane held at least m, and turns those guard bits into
-masks that keep the sum in those lanes; setting the guard bits and
-subtracting 1 instead reads which lanes are zero.
+one int: lane c, W = k + 2 bits wide (k = (m-1).bit_length()), holds z*c
+mod m.  Rows come from the z-step alone: row 0 is 0 and row z+1 is row z
+plus the counting row (lane c holding c), one addition and one conditional
+subtraction of m in every lane, with no products.  Each row is checked by
+its own c-step, one comparison per cell: shifted down one lane it must
+equal row z + z in every lane mod m.  The shifted-out top lane must wrap to
+0, which forces lane 0 to be 0, so a row that passes holds z*c mod m in
+lane c, and the table is bilinear with no zero row or column.
+The conditional subtraction adds 2**(W-1) - m to every lane, which sets the
+guard bit at the top of a lane exactly when the lane held at least m, and
+turns those guard bits into masks that keep the sum in those lanes; setting
+the guard bits and subtracting 1 instead reads which lanes are zero.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 
 def to_int(digits, p):
@@ -65,37 +64,28 @@ def inv(a, m):
 class _Lanes:
     """m residues mod m packed into one int, lane c at bits [W*c, W*(c+1)).
 
-    W = max(2k, k + 2) for k = (m-1).bit_length(), so every c and z below m
-    is below 2**k: the lanes z*c of z*C and c*t of C*t stay below 2**(2k)
-    and carry into no neighbour, every row lane below 2m <= 2**(k+1) leaves
-    the top bit of its lane free as the guard bit of `wrap`, and a lane of
-    C*t shifted right by k still fits in the W - k bits that the quotient
-    mask keeps.
+    W = k + 2 for k = (m-1).bit_length(), so m <= 2**k: a sum of two lanes
+    below m stays below 2m <= 2**(k+1) and leaves the top bit of its lane
+    free as the guard bit of `wrap` (at m = 2**k a sum reaches 2m - 1, just
+    under it), and adding 2**(W-1) - m to it carries into no neighbour.
     """
 
     def __init__(self, m):
-        k = (m - 1).bit_length()
         self.m = m
-        self.width = w = max(2 * k, k + 2)
-        self.shift = k
+        self.width = w = (m - 1).bit_length() + 2
         self.ones = int(f"{1:0{w}b}" * m, 2)  # 1 in every lane
-        self.quotient_mask = ((1 << w - k) - 1) * self.ones
         self.guard = self.ones << w - 1
         self.guard_minus_m = self.guard - m * self.ones  # 2**(W-1) - m in every lane
         self.counting = int("".join(f"{c:0{w}b}" for c in reversed(range(m))), 2)
 
-    def row(self, z):
-        """The packed row whose lane c holds z*c mod m, for 0 <= z < m.
-
-        With t = floor(z * 2**k / m) > z * 2**k / m - 1, lane c of the
-        quotient q is floor(c*t / 2**k), and z*c/m >= c*t / 2**k >
-        z*c/m - c / 2**k > z*c/m - 1 because c < 2**k; so q is floor(z*c/m)
-        or one less, z*c - q*m lies in [0, 2m) and one conditional
-        subtraction finishes."""
-        m, counting = self.m, self.counting
-        t = (z << self.shift) // m
-        q = (counting * t >> self.shift) & self.quotient_mask
-        return self.wrap(z * counting - q * m)
+    def rows(self):
+        """The packed rows z = 0..m-1, lane c of row z holding z*c mod m:
+        row 0 is 0 and each next row is the last plus row 1 (the counting
+        row C, lane c holding c) mod m, so every lane stays below m."""
+        row, counting, wrap = 0, self.counting, self.wrap
+        for _ in range(self.m):
+            yield row
+            row = wrap(row + counting)
 
     def wrap(self, x):
         """Every lane of x, each below 2m, brought into [0, m).
@@ -130,38 +120,30 @@ def bilinear_scan(p, level):
     slot) and c -> c+1 (second slot), in z-major then c order with the
     first slot's check before the second's in each cell.
 
-    A whole row z is checked per step, packed as `_Lanes`: row z is built
-    from z alone as z*C - q*m (lane c of C holds c) with the Shoup quotient
-    q = (C*floor(z * 2**k / m) >> k) masked, whose lane c is floor(z*c/m)
-    or one less because c < 2**k, so every lane lies in [0, 2m) before
-    `wrap` takes it into [0, m).  Row z is compared with row z-1 + row 1
-    mod m, so every cell is compared once, each comparison setting two
-    independent routes against each other.  Rows 0
-    and 1 are compared with 0 and C first.  A table that passes is z*c mod m:
-      - rows 0 and 1 hold 0*c and 1*c in lane c;
-      - if row z holds z*c, row z+1 = row z + row 1 holds z*c + c = (z+1)*c;
-      - so lane c+1 of row z, z*(c+1) = z*c + z, passes the c-step, and no
-        row z != 0 (lane 1 holds z) or column c != 0 (row 1 holds c) is 0.
-    Only a table that fails somewhere is walked again by `_failing_scan`
-    with both comparisons in every cell, for its triple and its zero rows
-    and columns.
+    A whole row z is checked per step, packed as `_Lanes` and walked by
+    `_Lanes.rows`.  Each row is checked on its own by its c-step, one
+    comparison per cell: shifted down one lane it must equal row + z in
+    every lane mod m.  For a row whose lanes lie below m, that says lane
+    c+1 is lane c + z mod m; the top lane, shifted out, must then wrap to
+    0, and lane m-1 + z = lane 0 + m*z = lane 0 mod m, so lane 0 is 0 and
+    lane c holds z*c mod m.  So a table that passes is z*c mod m, with no
+    induction over rows: it passes the z-step too, and no row z != 0 (lane
+    1 holds z) or column c != 0 (row 1 holds c) is 0.  Only a table that
+    fails somewhere is walked again by `_failing_scan` with both
+    comparisons in every cell, for its triple and its zero rows and
+    columns.
     """
     m = p ** level
     if m == 1:
         return (), (), None
     lanes = _Lanes(m)
-    build, wrap = lanes.row, lanes.wrap
-    row_one = build(1)
-    if build(0) == 0 and row_one == lanes.counting:
-        row = row_one
-        for z in range(2, m + 1):
-            following = build(z % m)
-            if following != wrap(row + row_one):
-                break
-            row = following
-        else:
-            return (), (), None
-    return _failing_scan(lanes)
+    width, ones, wrap = lanes.width, lanes.ones, lanes.wrap
+    step = 0  # z in every lane
+    for row in lanes.rows():
+        if row >> width != wrap(row + step):
+            return _failing_scan(lanes)
+        step += ones
+    return (), (), None
 
 
 def _failing_scan(lanes):
@@ -171,13 +153,13 @@ def _failing_scan(lanes):
     every lane mod m (both top lanes are z*m mod m = 0).  A failure does not
     stop the walk.  A column is zero when its lane is zero in the OR of all
     rows."""
-    m, ones, width = lanes.m, lanes.ones, lanes.width
-    build, wrap = lanes.row, lanes.wrap
-    row_one = build(1)
-    row = build(0)
+    ones, width, wrap = lanes.ones, lanes.width, lanes.wrap
+    rows = lanes.rows()
+    row = row_zero = next(rows)
+    row_one = next(rows)  # m >= 2
     zero_rows, seen, failure = [], 0, None
-    for z in range(m):
-        following = build((z + 1) % m)
+    # row z+1 for z = 0..m-1, row m being row 0
+    for z, following in enumerate(chain((row_one,), rows, (row_zero,))):
         first_slot = wrap(row + row_one)
         second_slot = wrap(row + z * ones)
         shifted = row >> width

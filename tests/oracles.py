@@ -147,10 +147,11 @@ def _lanes_set(x, width):
 
 def two_comparison_scan(p: int, level: int):
     """`kernels.bilinear_scan`'s (zero rows, zero columns, first failing
-    triple) without the induction it relies on, and with rows of its own
-    Barrett layout: every packed row z is built from z alone as z*C reduced
-    mod m and compared twice per cell, with row z-1 + row 1 (the z-step)
-    and, shifted down one lane, with row z + z in every lane (the c-step)."""
+    triple) without the one-comparison argument it relies on, and with rows
+    of its own Barrett layout: every packed row z is built from z alone as
+    z*C reduced mod m, not walked by z-steps, and compared twice per cell,
+    with row z-1 + row 1 (the z-step) and, shifted down one lane, with row
+    z + z in every lane (the c-step)."""
     m = p ** level
     if m == 1:
         return (), (), None

@@ -542,6 +542,24 @@ def test_dual_pair_foreign_factor_past_int_to_str_limit_is_a_domain_error(capsys
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("p, factor", [("2", "<477122 digits>"), ("3", "<301030 digits>")])
+def test_dual_pair_foreign_base_is_split_before_its_power(capsys, p, factor):
+    # the prime-to-p factor 3^1000000 or 2^1000000 comes from the literal base 6;
+    # splitting p out of 6^1000000 itself took 7-10 s
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "dual", "pair", "--p", p, "--z", "1", "--prec", "3",
+        "--gamma", "1/6^1000000", "--json",
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    doc = _single_error_document(out, err)
+    assert doc["diagnostics"] == [
+        f"denominator of 1/<778152 digits> has a factor {factor} prime to {p}"
+    ]
+    assert elapsed < 1.0
+
+
 def test_dual_pair_foreign_factor_is_named_prime_to_p(capsys):
     # 9 is the 2-free part of 36, not a prime factor of it
     message = "denominator of 1/36 has a factor 9 prime to 2"

@@ -280,6 +280,22 @@ def test_parse_prufer_forms():
         parse_prufer("x/y", 3)
 
 
+@given(p=st.sampled_from((2, 3, 5)), a=st.integers(-10 ** 4, 10 ** 4),
+       b=st.integers(1, 60), k=st.integers(0, 6))
+def test_parse_prufer_reads_the_foreign_factor_off_the_base(p, a, b, k):
+    # b'^k / gcd(a, b'^k) for b = p^e * b' is the prime-to-p part of the
+    # reduced denominator that prufer_image splits off a/b^k
+    text = f"{a}/{b}^{k}"
+    try:
+        expected = prufer_image(F(a, b ** k), p)
+    except DomainError as error:
+        with pytest.raises(DomainError) as got:
+            parse_prufer(text, p)
+        assert str(got.value) == str(error)
+    else:
+        assert parse_prufer(text, p) == expected
+
+
 @given(p=st.sampled_from(SMALL_PRIMES), a=st.integers(-10 ** 6, 10 ** 6),
        k=st.integers(0, 40))
 def test_prufer_level_from_the_exponent_is_the_parsed_level(p, a, k):

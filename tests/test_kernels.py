@@ -185,13 +185,25 @@ LANE_MODULI = sorted({2 ** k + d for k in range(1, 14) for d in (-1, 0, 1)} | {7
 
 
 def assert_rows_are_z_times_c_mod_m(lanes, zs):
-    """Each row z equals the int packed from the lanes z*c mod m, so it holds
-    nothing past lane m-1 either."""
+    """The walk gives m rows, and each row z in zs equals the int packed from
+    the lanes z*c mod m, so it holds nothing past lane m-1 either."""
     m = lanes.m
     lane_bits = [f"{v:0{lanes.width}b}" for v in range(m)]
-    for z in zs:
-        expected = int("".join([lane_bits[z * c % m] for c in reversed(range(m))]), 2)
-        assert lanes.row(z) == expected, f"row {z} at m = {m}"
+    count = 0
+    for z, row in enumerate(lanes.rows()):
+        count += 1
+        if z in zs:
+            expected = int("".join([lane_bits[z * c % m] for c in reversed(range(m))]), 2)
+            assert row == expected, f"row {z} at m = {m}"
+    assert count == m
+
+
+def test_lane_width_is_k_plus_2():
+    # a lane holds the sum of two residues, below 2m <= 2**(k+1), under its guard bit
+    for m in LANE_MODULI:
+        assert kernels._Lanes(m).width == (m - 1).bit_length() + 2
+    assert [kernels._Lanes(m).width for m in (2039, 2048, 2049, 8191, 8192)] == [
+        13, 13, 14, 15, 15]
 
 
 @pytest.mark.parametrize("m", LANE_MODULI)
@@ -200,7 +212,7 @@ def test_packed_row_is_z_times_c_mod_m_in_every_lane(m):
     assert unpack(lanes.counting, lanes) == list(range(m))
     rng = random.Random(m)
     assert_rows_are_z_times_c_mod_m(
-        lanes, {0, 1, m - 1, m // 2} | {rng.randrange(m) for _ in range(3)})
+        lanes, {z % m for z in (0, 1, m - 1, m // 2)} | {rng.randrange(m) for _ in range(3)})
 
 
 def test_every_row_is_z_times_c_mod_m_up_to_256():
@@ -208,13 +220,36 @@ def test_every_row_is_z_times_c_mod_m_up_to_256():
         assert_rows_are_z_times_c_mod_m(kernels._Lanes(m), range(m))
 
 
-@settings(deadline=None)
+@settings(deadline=None, max_examples=30)
 @given(m=st.integers(257, 2 ** 13 + 1), data=st.data())
 def test_row_is_z_times_c_mod_m_at_drawn_moduli(m, data):
-    # the Shoup quotient is at most one short in every lane because c < 2**k;
-    # z = m-1 puts the largest products z*c and quotients c*t in the lanes
+    # each example walks all m rows, up to about 0.2 s; z = m-1 is the last
+    # row of the walk, after m-1 z-steps
     z = data.draw(st.integers(0, m - 1))
-    assert_rows_are_z_times_c_mod_m(kernels._Lanes(m), (0, 1, m - 1, z))
+    assert_rows_are_z_times_c_mod_m(kernels._Lanes(m), {0, 1, m - 1, z})
+
+
+# the prime powers among LANE_MODULI up to 2^12 + 1 (the guard-sized moduli
+# take about 3 s each in the oracle): at m = 2**j a lane sum reaches 2m - 1,
+# just under the guard bit; 2**j + 1 takes a lane one bit wider than 2**j
+LANE_PRIME_POWERS = [
+    (p, k) for m in LANE_MODULI if m <= 2 ** 12 + 1
+    for p, k in factorize(m).items() if p ** k == m]
+
+
+@pytest.mark.parametrize("p, level", LANE_PRIME_POWERS)
+def test_scan_matches_the_two_comparison_scan_next_to_powers_of_two(p, level):
+    assert kernels.bilinear_scan(p, level) == two_comparison_scan(p, level) == ((), (), None)
+
+
+def test_a_perfect_table_takes_one_comparison_per_cell(monkeypatch):
+    # only a table that fails is walked again with both steps
+    def walked_again(lanes):
+        raise AssertionError(f"perfect table at m = {lanes.m} walked again")
+
+    monkeypatch.setattr(kernels, "_failing_scan", walked_again)
+    for p, level in LANE_PRIME_POWERS + [(3, 7), (43, 2), (2039, 1)]:
+        assert kernels.bilinear_scan(p, level) == ((), (), None)
 
 
 @settings(deadline=None)
@@ -253,23 +288,25 @@ def first_failure(table, m):
 
 
 def reduced_rows(m):
-    """Every row as `_Lanes.row` returns it, unpacked."""
+    """Every row as `_Lanes.rows` yields it, unpacked."""
     lanes = kernels._Lanes(m)
-    return [unpack(lanes.row(z), lanes) for z in range(m)]
+    return [unpack(row, lanes) for row in lanes.rows()]
 
 
 def edit_rows(monkeypatch, edit):
-    """Make `_Lanes.row(z)` return edit(lanes, z, row) for its row."""
-    row = kernels._Lanes.row
+    """Make `_Lanes.rows` yield edit(lanes, z, row) for each row z it walks;
+    the walk itself goes on from the unedited row."""
+    rows = kernels._Lanes.rows
 
-    def edited(self, z):
-        return edit(self, z, row(self, z))
+    def edited(self):
+        for z, row in enumerate(rows(self)):
+            yield edit(self, z, row)
 
-    monkeypatch.setattr(kernels._Lanes, "row", edited)
+    monkeypatch.setattr(kernels._Lanes, "rows", edited)
 
 
 def corrupt_lane(monkeypatch, m, z0, c0):
-    """Make `_Lanes.row` return row z0 with lane c0 moved up by one mod m."""
+    """Make `_Lanes.rows` yield row z0 with lane c0 moved up by one mod m."""
 
     def corrupted(lanes, z, row):
         if z == z0:

@@ -21,17 +21,17 @@ from tatedual.tate import (
 
 
 def residue_series(q, coefficient, terms):
-    """sum coefficient(n) q^n / (1 - q^n) for n = 1..terms, one unit
-    inversion per term in the residue ring mod p**N."""
-    p, n = q.p, q.precision
-    acc = padic_from_integer(0, p, n)
-    one = padic_from_integer(1, p, n)
-    q_pow = one
+    """sum coefficient(n) q^n / (1 - q^n) for n = 1..terms mod p**N, in
+    plain integers: the sum is carried as one fraction over the common
+    denominator prod (1 - q^n), a unit, so each call inverts once."""
+    m = q.p ** q.precision
+    num, den, q_pow = 0, 1, 1
     for k in range(1, terms + 1):
-        q_pow = q_pow * q
-        term = padic_from_integer(coefficient(k), p, n) * q_pow
-        acc = acc + term * (one + (-q_pow)).inverse()
-    return acc
+        q_pow = q_pow * q.value % m
+        unit = 1 - q_pow
+        num = (num * unit + coefficient(k) * q_pow * den) % m
+        den = den * unit % m
+    return padic_from_integer(num * pow(den, -1, m), q.p, q.precision)
 
 
 # --- truncation -----------------------------------------------------------
