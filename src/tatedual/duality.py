@@ -87,13 +87,14 @@ def _check_enumeration_guard(p: int, level: int) -> None:
 def perfectness_check(p: int, level: int) -> PerfectnessReport:
     """Brute-force verification that the level-n pairing is perfect.
 
-    One kernel scan walks every pair (z, gamma) of the table and compares
-    each once, for the successor step z -> z+1 from rows 0 and 1.  By
-    induction every row is then z*gamma, so the step in gamma holds too,
-    which implies full additivity and keeps the exhaustion quadratic; such
-    a table has no residue z != 0 pairing to zero with all of the torsion
-    (left degeneracy) and no torsion element c/p^n != 0 paired to zero by
-    all residues (right degeneracy).  A table that fails is walked again
+    One kernel scan walks every row z of the table and compares each cell
+    once, for the step in gamma: row z shifted down one lane must equal
+    row z + z in every lane mod p^n.  The top lane wraps to 0, which forces
+    lane 0 to be 0, so each passing row holds z*c mod p^n on its own, with
+    no induction over rows; the table is then bilinear, which keeps the
+    exhaustion quadratic, and has no residue z != 0 pairing to zero with
+    all of the torsion (left degeneracy) and no torsion element c/p^n != 0
+    paired to zero by all residues (right degeneracy).  A table that fails is walked again
     with both steps in every cell, which finds its zero rows and columns
     and its first failing cell.  Counterexamples list the left ones, then
     the right ones, then the first failing bilinearity triple.

@@ -217,7 +217,9 @@ def prufer_image(gamma, p: int) -> PruferElement:
     gamma = Fraction(gamma)
     den = gamma.denominator
     # a power of p is recognised by one comparison with the power of its size;
-    # a foreign factor needs the split; reducing mod 1 keeps the denominator
+    # a foreign factor needs the split; only a Fraction passed in directly can
+    # carry one, since parse_prufer rejects a foreign base before it calls here
+    # (its second check_prime is a set lookup); reducing mod 1 keeps the denominator
     level = round(math.log(den, p))
     if p ** level != den:
         level, rest = split_power(den, p)
