@@ -12,11 +12,12 @@ usage errors load none of them.
 """
 
 import argparse
+import functools
 import re
 import sys
 from collections import namedtuple
 
-from .errors import DomainError, InputError, check_literals, printable
+from .errors import DomainError, InputError, check_literals, first_unprintable_power, printable
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -153,6 +154,13 @@ def _cmd_gamma_gens(ns):
     from . import gamma
 
     q = _parse_q(ns)
+    # generator n > v reduces to u_n / p^(n-v) with u_n = (q mod p^n) / p^v <
+    # p^(n-v), and n <= v gives 0, so the first that cannot print is n = v + k,
+    # k the least with p^k past the limit; refuse it before building the rest
+    k = first_unprintable_power(q.p)
+    if k is not None and not q.is_zero() and (v := q.valuation()) + k <= q.precision:
+        pv, pk = q.p ** v, q.p ** k
+        printable(q.value % (pv * pk) // pv, pk)
     return {"generators": [_fraction(g) for g in gamma.gamma_generators(q)]}
 
 
@@ -333,16 +341,25 @@ _COMMANDS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import shutil  # as argparse does, so importing the CLI does not load it
+
+    # argparse makes a formatter for every argument it adds, and each one with
+    # no width asks the terminal (83 times per build); help and usage print
+    # within the same run, so the width read once here is the one they would read
+    width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
     root = _Parser(
         prog="tatedual",
         description="Exact p-adic / Tate-curve / UHF-duality computations.",
+        formatter_class=formatter,
     )
     groups = root.add_subparsers(dest="group", required=True)
     subs = {}
     for group, name, handler, flags in _COMMANDS:
         if group not in subs:
-            subs[group] = groups.add_parser(group).add_subparsers(dest="sub", required=True)
-        parser = subs[group].add_parser(name)
+            subs[group] = groups.add_parser(group, formatter_class=formatter).add_subparsers(
+                dest="sub", required=True)
+        parser = subs[group].add_parser(name, formatter_class=formatter)
         for flag in flags + ("--json",):
             parser.add_argument(flag, **_FLAGS[flag])
         parser.set_defaults(handler=handler)

@@ -92,6 +92,20 @@ def printable(*numbers) -> None:
             )
 
 
+def first_unprintable_power(p: int) -> int | None:
+    """The least k >= 1 with p**k past the int-to-str limit, for p >= 2;
+    None with no limit.  The powers built stay next to the limit's size."""
+    limit = int_str_limit()
+    if not limit:
+        return None
+    k = max(1, math.ceil(limit / math.log10(p)))  # a float estimate, settled exactly
+    while k > 1 and digits_past_limit(p ** (k - 1)):
+        k -= 1
+    while not digits_past_limit(p ** k):
+        k += 1
+    return k
+
+
 def shown_power(p: int, e: int) -> str:
     """`p^e`, with ` = ` and its value when str() shows it; a power past
     4*limit bits, and with no limit any power, is never built."""

@@ -2,8 +2,10 @@
 paper in plain exact arithmetic, for the package's routines to be checked
 against."""
 
+import argparse
 from fractions import Fraction
 
+from tatedual import cli
 from tatedual.duality import CircleElement
 from tatedual.gamma import CyclicSubgroupQ, PruferElement, prufer_image
 from tatedual.padic import CanonicalSequence, PAdicInt
@@ -188,3 +190,32 @@ def sizes(desc: UHFDescriptor, count: int) -> tuple[int, ...]:
     while desc.tail and len(out) < count:
         out.extend(desc.tail)
     return tuple(out[:count])
+
+
+# --- the command line --------------------------------------------------------------
+
+def default_formatter_parser() -> argparse.ArgumentParser:
+    """`cli.build_parser`'s tree, from its `_COMMANDS` and `_FLAGS`, with
+    argparse's own parser class and formatter: each formatter argparse makes
+    asks the terminal for its width."""
+    built = cli.build_parser()
+    root = argparse.ArgumentParser(prog=built.prog, description=built.description)
+    groups = root.add_subparsers(dest="group", required=True)
+    subs = {}
+    for group, name, _, flags in cli._COMMANDS:
+        if group not in subs:
+            subs[group] = groups.add_parser(group).add_subparsers(dest="sub", required=True)
+        parser = subs[group].add_parser(name)
+        for flag in flags + ("--json",):
+            parser.add_argument(flag, **cli._FLAGS[flag])
+    return root
+
+
+def default_formatter_exit(argv) -> int:
+    """The exit code of parsing argv on that tree, which prints --help and
+    usage errors as argparse does."""
+    try:
+        default_formatter_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    return 0

@@ -2,18 +2,23 @@
 
 import json
 import os
+import random
 import re
+import shutil
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from tatedual import numutil, padic, supernatural
-from tatedual.cli import _FLAGS, run
+from oracles import default_formatter_exit
+from tatedual import cli, gamma, numutil, padic, supernatural
+from tatedual.cli import _FLAGS, build_parser, run
 from tatedual.duality import _check_enumeration_guard
-from tatedual.errors import DomainError
+from tatedual.errors import DomainError, first_unprintable_power
 from tatedual.numutil import check_provable_prime
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -290,37 +295,38 @@ def test_every_free_text_option_has_a_malformed_case():
     assert {flag for flag, _, _ in MALFORMED_TEXT} == free_text
 
 
-@pytest.mark.parametrize(
-    "argv, code, diagnostic",
-    [
-        ("padic canon --p 2 --prec 3", 2, "--q is required"),
-        ("padic canon --p 2 --q [a,b] --prec 2", 2, "malformed digit list for --q: '[a,b]'"),
-        ("padic canon --p 2 --q abc --prec 2", 2,
-         "--q must be an integer or digit list, got 'abc'"),
-        ("gamma group --p 1 --q 3 --prec 2", 3, "p=1 is not prime (primes start at 2)"),
-        ("gamma group --p 18446744073709551557 --q 3 --prec 2", 3,
-         "p=18446744073709551557 does not fit in a machine word"),
-        ("gamma group --p 9223372036854775808 --q 3 --prec 2", 3,
-         "p=9223372036854775808 does not fit in a machine word"),
-        ("gamma group --p -5 --q 3 --prec 2", 3, "p=-5 is not prime (primes start at 2)"),
-        ("dual check --p -7 --level 1", 3, "p=-7 is not prime (primes start at 2)"),
-        ("dual pair --p 3 --z 1 --prec 2 --gamma 1/0", 2, "zero denominator in '1/0'"),
-        ("uhf k0 --desc ;", 2, "malformed descriptor: ';'"),
-        # psi_12 passes all 12 bases of the primality test, and is composite
-        ("uhf stable-iso --n 318665857834031151167461 --n2 1", 3,
-         "supernatural factor 318665857834031151167461 is not below "
-         "318665857834031151167461, the bound of proven primality"),
-        ("uhf stable-iso --n 6 --n2 1", 3, "supernatural factor 6 is not prime (divisible by 2)"),
-        # well-formed text that breaks a precondition exits 3, one case per parser
-        ("padic canon --p 3 --q [0,5]", 3, "digit c_1=5 out of range [0, 2]"),
-        ("gamma density --p 3 --q 3 --prec 4 --target 1/2 --epsilon 0", 3,
-         "epsilon must be positive, got 0"),
-        ("dual pair --p 3 --z 1 --prec 2 --gamma 1/6", 3,
-         "denominator of 1/6 has a factor 2 prime to 3"),
-        ("uhf k0 --desc sizes=2,0", 3, "matrix size 0 rejected; sizes are integers >= 1"),
-        ("uhf stable-iso --n 2*2 --n2 1", 3, "prime 2 listed twice in '2*2'"),
-    ] + [(argv, 2, diagnostic) for _, argv, diagnostic in MALFORMED_TEXT],
-)
+# (argv, exit code, diagnostic): inputs the package refuses, in text and JSON alike
+REJECTED_INPUTS = [
+    ("padic canon --p 2 --prec 3", 2, "--q is required"),
+    ("padic canon --p 2 --q [a,b] --prec 2", 2, "malformed digit list for --q: '[a,b]'"),
+    ("padic canon --p 2 --q abc --prec 2", 2,
+     "--q must be an integer or digit list, got 'abc'"),
+    ("gamma group --p 1 --q 3 --prec 2", 3, "p=1 is not prime (primes start at 2)"),
+    ("gamma group --p 18446744073709551557 --q 3 --prec 2", 3,
+     "p=18446744073709551557 does not fit in a machine word"),
+    ("gamma group --p 9223372036854775808 --q 3 --prec 2", 3,
+     "p=9223372036854775808 does not fit in a machine word"),
+    ("gamma group --p -5 --q 3 --prec 2", 3, "p=-5 is not prime (primes start at 2)"),
+    ("dual check --p -7 --level 1", 3, "p=-7 is not prime (primes start at 2)"),
+    ("dual pair --p 3 --z 1 --prec 2 --gamma 1/0", 2, "zero denominator in '1/0'"),
+    ("uhf k0 --desc ;", 2, "malformed descriptor: ';'"),
+    # psi_12 passes all 12 bases of the primality test, and is composite
+    ("uhf stable-iso --n 318665857834031151167461 --n2 1", 3,
+     "supernatural factor 318665857834031151167461 is not below "
+     "318665857834031151167461, the bound of proven primality"),
+    ("uhf stable-iso --n 6 --n2 1", 3, "supernatural factor 6 is not prime (divisible by 2)"),
+    # well-formed text that breaks a precondition exits 3, one case per parser
+    ("padic canon --p 3 --q [0,5]", 3, "digit c_1=5 out of range [0, 2]"),
+    ("gamma density --p 3 --q 3 --prec 4 --target 1/2 --epsilon 0", 3,
+     "epsilon must be positive, got 0"),
+    ("dual pair --p 3 --z 1 --prec 2 --gamma 1/6", 3,
+     "denominator of 1/6 has a factor 2 prime to 3"),
+    ("uhf k0 --desc sizes=2,0", 3, "matrix size 0 rejected; sizes are integers >= 1"),
+    ("uhf stable-iso --n 2*2 --n2 1", 3, "prime 2 listed twice in '2*2'"),
+] + [(argv, 2, diagnostic) for _, argv, diagnostic in MALFORMED_TEXT]
+
+
+@pytest.mark.parametrize("argv, code, diagnostic", REJECTED_INPUTS)
 @pytest.mark.parametrize("json_mode", [False, True])
 def test_rejected_inputs_name_their_fault_in_both_modes(capsys, argv, code, diagnostic,
                                                         json_mode):
@@ -401,6 +407,70 @@ def test_padic_canon_past_int_to_str_limit_is_a_domain_error(capsys):
         f"an output integer has 4772 decimal digits, over the int-to-str limit "
         f"of {limit} (sys.get_int_max_str_digits())"
     ]
+
+
+@pytest.mark.parametrize("prec", ["20000", "40000"])
+def test_gamma_gens_refuses_its_first_unprintable_generator_before_the_rest(capsys, prec):
+    # generator 14286 of q = 2 is 1/2^14285, of 4301 digits; building and
+    # formatting the 14285 generators before it took 1.5-2 s
+    message = (f"an output integer has 4301 decimal digits, over the int-to-str limit "
+               f"of {sys.get_int_max_str_digits()} (sys.get_int_max_str_digits())")
+    argv = ("gamma", "gens", "--p", "2", "--q", "2", "--prec", prec)
+    start = time.perf_counter()
+    text = invoke(capsys, *argv)
+    code, out, err = invoke(capsys, *argv, "--json")
+    elapsed = time.perf_counter() - start
+    assert text == (3, "", f"status: error\nerror: {message}\n")
+    assert code == 3
+    assert _single_error_document(out, err)["diagnostics"] == [message]
+    assert elapsed < 0.2
+
+
+# the 63-bit prime's powers overshoot 10^640 by several digits, so a numerator
+# past the limit can be named by a digit count of its own (641 against 645 in the
+# example); `invoke` reads capsys out on every call, so no example sees another's output
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(p=9223372036854775783, v=1, offset=0, top_zeros=0, seed=4)
+@given(p=st.sampled_from((2, 3, 7, 9223372036854775783)), v=st.integers(0, 3),
+       offset=st.integers(-2, 2), top_zeros=st.integers(0, 3), seed=st.integers(0, 2 ** 32))
+def test_gamma_gens_refusal_is_the_one_formatting_in_order_gives(capsys, p, v, offset,
+                                                                   top_zeros, seed):
+    rng = random.Random(seed)  # thousands of digits, too many for hypothesis to draw
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        k, pk = 1, p  # the least k with p^k past 640 digits
+        while pk < 10 ** 640:
+            k, pk = k + 1, pk * p
+        n = v + max(1, k + offset)
+        # q has valuation v; its top digits spread over many sizes, or are 0
+        digits = [0] * v + [rng.randrange(1, p)] + [
+            rng.randrange(min(p, 1 << rng.randint(1, p.bit_length()))) for _ in range(n - v - 1)
+        ]
+        digits[max(v + 1, n - top_zeros):] = [0] * min(top_zeros, n - v - 1)
+        q = padic.PAdicInt(p, tuple(digits))
+        try:
+            expected = (0, [cli._fraction(g) for g in gamma.gamma_generators(q)])
+        except DomainError as exc:
+            expected = (3, str(exc))
+        code, out, err = invoke(capsys, "gamma", "gens", "--p", str(p), "--q",
+                                ",".join(map(str, digits)), "--json")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    doc = _one_document(out, err)
+    assert (code, doc["result"]["generators"] if code == 0 else doc["diagnostics"][0]) == expected
+
+
+def test_gamma_gens_with_no_int_str_limit_refuses_nothing(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert first_unprintable_power(2) is None
+        got = invoke(capsys, "gamma", "gens", "--p", "2", "--q", "2", "--prec", "4")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == (0, "generators: 0, 1/2, 1/4, 1/8\n", "")
 
 
 def test_stable_iso_witness_past_int_to_str_limit_is_a_domain_error(capsys):
@@ -638,12 +708,13 @@ def test_dual_check_at_the_enumeration_guard_is_perfect_within_60_s(p, level):
     assert '"perfect":true' in done.stdout
 
 
+P40_PRODUCT = 1208925819535464337504999  # 1099511627689 * 1099511627791, split by rho
+
+
 @pytest.mark.parametrize("key", ["sizes", "tail"])
 def test_uhf_k0_splits_a_product_of_two_40_bit_primes(capsys, key):
-    # 1099511627689 * 1099511627791 (80 bits): trial division past 2^63 never ended
-    code, doc, elapsed = _timed_json(
-        capsys, "uhf", "k0", "--desc", f"{key}=1208925819535464337504999"
-    )
+    # an 80-bit size: trial division past 2^63 never ended
+    code, doc, elapsed = _timed_json(capsys, "uhf", "k0", "--desc", f"{key}={P40_PRODUCT}")
     assert code == 0
     power = "" if key == "sizes" else "^inf"
     assert doc["result"]["k0"] == f"1099511627689{power}*1099511627791{power}"
@@ -726,36 +797,36 @@ def test_stable_iso_witness_of_30_million_digits_is_counted_fast(capsys):
 
 _D = "1" + "0" * 4999  # 5000 digits, past the default str-to-int limit of 4300
 
+# one argv per free-text option, with a 5000-digit literal in it
+PAST_STR_TO_INT_LIMIT = [
+    pytest.param(("dual", "pair", "--p", "3", "--z", "1", "--prec", "3", "--gamma", _D),
+                 id="dual-pair-gamma-D"),
+    pytest.param(("dual", "pair", "--p", "3", "--z", "1", "--prec", "3",
+                  "--gamma", f"1/{_D}"), id="dual-pair-gamma-1-over-D"),
+    pytest.param(("dual", "pair", "--p", "3", "--z", "1", "--prec", "3",
+                  "--gamma", f"1/3^{_D}"), id="dual-pair-gamma-1-over-3-to-the-D"),
+    pytest.param(("uhf", "stable-iso", "--n", _D, "--n2", "1"), id="stable-iso-n-D"),
+    pytest.param(("uhf", "stable-iso", "--n", f"2^{_D}", "--n2", "1"),
+                 id="stable-iso-n-2-to-the-D"),
+    pytest.param(("padic", "canon", "--p", "3", "--prec", "4", "--q", _D),
+                 id="padic-canon-q-D"),
+    pytest.param(("padic", "canon", "--p", "3", "--prec", "2", "--q", f"1,{_D}"),
+                 id="padic-canon-q-digit-list-D"),
+    pytest.param(("padic", "arith", "--op", "add", "--p", "3", "--prec", "4",
+                  "--x", _D, "--y", "1"), id="padic-arith-x-D"),
+    pytest.param(("dual", "pair", "--p", "3", "--prec", "3", "--z", _D, "--gamma", "1/3"),
+                 id="dual-pair-z-D"),
+    pytest.param(("gamma", "density", "--p", "3", "--q", "3", "--prec", "4",
+                  "--target", _D, "--epsilon", "1/2"), id="gamma-density-target-D"),
+    pytest.param(("gamma", "density", "--p", "3", "--q", "3", "--prec", "4",
+                  "--target", "1/2", "--epsilon", f"1/{_D}"),
+                 id="gamma-density-epsilon-1-over-D"),
+    pytest.param(("uhf", "k0", "--desc", f"sizes={_D}"), id="uhf-k0-sizes-D"),
+    pytest.param(("uhf", "k0", "--desc", f"sizes=;tail={_D}"), id="uhf-k0-tail-D"),
+]
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        pytest.param(("dual", "pair", "--p", "3", "--z", "1", "--prec", "3", "--gamma", _D),
-                     id="dual-pair-gamma-D"),
-        pytest.param(("dual", "pair", "--p", "3", "--z", "1", "--prec", "3",
-                      "--gamma", f"1/{_D}"), id="dual-pair-gamma-1-over-D"),
-        pytest.param(("dual", "pair", "--p", "3", "--z", "1", "--prec", "3",
-                      "--gamma", f"1/3^{_D}"), id="dual-pair-gamma-1-over-3-to-the-D"),
-        pytest.param(("uhf", "stable-iso", "--n", _D, "--n2", "1"), id="stable-iso-n-D"),
-        pytest.param(("uhf", "stable-iso", "--n", f"2^{_D}", "--n2", "1"),
-                     id="stable-iso-n-2-to-the-D"),
-        pytest.param(("padic", "canon", "--p", "3", "--prec", "4", "--q", _D),
-                     id="padic-canon-q-D"),
-        pytest.param(("padic", "canon", "--p", "3", "--prec", "2", "--q", f"1,{_D}"),
-                     id="padic-canon-q-digit-list-D"),
-        pytest.param(("padic", "arith", "--op", "add", "--p", "3", "--prec", "4",
-                      "--x", _D, "--y", "1"), id="padic-arith-x-D"),
-        pytest.param(("dual", "pair", "--p", "3", "--prec", "3", "--z", _D, "--gamma", "1/3"),
-                     id="dual-pair-z-D"),
-        pytest.param(("gamma", "density", "--p", "3", "--q", "3", "--prec", "4",
-                      "--target", _D, "--epsilon", "1/2"), id="gamma-density-target-D"),
-        pytest.param(("gamma", "density", "--p", "3", "--q", "3", "--prec", "4",
-                      "--target", "1/2", "--epsilon", f"1/{_D}"),
-                     id="gamma-density-epsilon-1-over-D"),
-        pytest.param(("uhf", "k0", "--desc", f"sizes={_D}"), id="uhf-k0-sizes-D"),
-        pytest.param(("uhf", "k0", "--desc", f"sizes=;tail={_D}"), id="uhf-k0-tail-D"),
-    ],
-)
+
+@pytest.mark.parametrize("argv", PAST_STR_TO_INT_LIMIT)
 def test_input_integer_past_str_to_int_limit_is_a_domain_error(capsys, argv):
     # one check of every free-text option before the handler runs; int() on
     # such a literal raised ValueError, or each parser named it its own way
@@ -867,16 +938,17 @@ def test_enumeration_guard_shows_no_power_with_the_limit_lifted(capsys, level, l
     assert doc["diagnostics"] == [f"enumeration guard exceeded: {default} > 8192"]
 
 
-@pytest.mark.parametrize(
-    "argv, command, diagnostic",
-    [
-        ("gamma gens --p x --prec 3 --q 2 --json", "gamma gens",
-         "argument --p: invalid int value: 'x'"),
-        ("nonsense --json", "", "argument group: invalid choice: 'nonsense'"),
-        ("gamma gens --p 2 --prec 3 --q 2 --json --bogus", "",
-         "unrecognized arguments: --bogus"),
-    ],
-)
+# (argv, subcommand path reached, start of the diagnostic): one usage error per depth
+USAGE_ERRORS = [
+    ("gamma gens --p x --prec 3 --q 2 --json", "gamma gens",
+     "argument --p: invalid int value: 'x'"),
+    ("nonsense --json", "", "argument group: invalid choice: 'nonsense'"),
+    ("gamma gens --p 2 --prec 3 --q 2 --json --bogus", "",
+     "unrecognized arguments: --bogus"),
+]
+
+
+@pytest.mark.parametrize("argv, command, diagnostic", USAGE_ERRORS)
 def test_usage_errors_with_json_print_one_error_document(capsys, argv, command, diagnostic):
     code, out, err = invoke(capsys, *argv.split())
     assert code == 2
@@ -895,6 +967,34 @@ def test_usage_errors_in_text_mode_keep_argparse_usage_on_stderr(capsys):
         "usage: tatedual gamma gens [-h] --p P [--prec PREC] [--q Q] [--json]\n"
         "tatedual gamma gens: error: argument --p: invalid int value: 'x'\n"
     )
+
+
+def test_one_parser_build_asks_the_terminal_for_its_width_once(monkeypatch):
+    calls = []
+    asked = shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return asked(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    build_parser()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+@pytest.mark.parametrize("argv", [
+    "--help", "gamma --help", "gamma density --help",
+    "nonsense", "gamma nonsense", "gamma density --p 3",
+    "tate coeffs --p 3 --q 3 --prec 8 extra",  # the root reports it, after a valid subcommand
+])
+def test_help_and_usage_print_as_with_argparse_default_formatter(capsys, monkeypatch, columns,
+                                                                 argv):
+    # the width read once per build is the one each default formatter would read
+    monkeypatch.setenv("COLUMNS", columns)
+    got = invoke(capsys, *argv.split())
+    code = default_formatter_exit(argv.split())
+    assert got == (code, *capsys.readouterr())
 
 
 @pytest.mark.parametrize(
