@@ -8,7 +8,9 @@ exact value carried as a string).  Exit codes: 0 success, 2 input error,
 
 Each handler imports the domain modules it runs, and `json` and `fractions`
 load where they are used, so building the parser, --help and text-mode
-usage errors load none of them.
+usage errors load none of them.  Every call builds the root, group and
+subcommand parsers, but a subcommand's parser adds its flags only when the
+argv selects it.
 """
 
 import argparse
@@ -34,15 +36,39 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # any -<digit> or -.<digit> token is a value, so `--target -1/2` parses
+    # like `--target=-1/2`; the pattern argparse sets on Python 3.11 admits
+    # only -<digits> and -<digits>.<digits>.  No flag here starts that way.
+    _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # any -<digit> or -.<digit> token is a value, so `--target -1/2` parses
-        # like `--target=-1/2`; the pattern argparse sets on Python 3.11 admits
-        # only -<digits> and -<digits>.<digits>.  No flag here starts that way.
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = self._NEGATIVE_NUMBER
 
     def error(self, message):
         raise _UsageError(self, message)
+
+
+class _CommandParser(_Parser):
+    """A subcommand's parser, which adds its flags and handler the first time
+    it parses.  argparse calls its `parse_known_args` exactly when the argv
+    selects the subcommand, so a run, its --help and every usage error the
+    subcommand raises see the flags; the root and group parsers' help and
+    errors name only subcommands, so a build adds no flag the argv never
+    reaches."""
+
+    def __init__(self, *args, flags, handler, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._pending = flags, handler
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._pending is not None:
+            flags, handler = self._pending
+            self._pending = None
+            for flag in flags + ("--json",):
+                self.add_argument(flag, **_FLAGS[flag])
+            self.set_defaults(handler=handler)
+        return super().parse_known_args(args, namespace)
 
 
 class CommandResult(namedtuple("CommandResult", "command inputs result status diagnostics",
@@ -344,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     import shutil  # as argparse does, so importing the CLI does not load it
 
     # argparse makes a formatter for every argument it adds, and each one with
-    # no width asks the terminal (83 times per build); help and usage print
-    # within the same run, so the width read once here is the one they would read
+    # no width asks the terminal; help and usage print within the same run,
+    # so the width read once here is the one they would read
     width = shutil.get_terminal_size().columns - 2
     formatter = functools.partial(argparse.HelpFormatter, width=width)
     root = _Parser(
@@ -358,11 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     for group, name, handler, flags in _COMMANDS:
         if group not in subs:
             subs[group] = groups.add_parser(group, formatter_class=formatter).add_subparsers(
-                dest="sub", required=True)
-        parser = subs[group].add_parser(name, formatter_class=formatter)
-        for flag in flags + ("--json",):
-            parser.add_argument(flag, **_FLAGS[flag])
-        parser.set_defaults(handler=handler)
+                dest="sub", required=True, parser_class=_CommandParser)
+        subs[group].add_parser(name, formatter_class=formatter, flags=flags, handler=handler)
     return root
 
 

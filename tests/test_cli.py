@@ -1,5 +1,6 @@
 """CLI contract: subcommand coverage, the JSON envelope, and exit codes."""
 
+import argparse
 import json
 import os
 import random
@@ -995,6 +996,103 @@ def test_help_and_usage_print_as_with_argparse_default_formatter(capsys, monkeyp
     got = invoke(capsys, *argv.split())
     code = default_formatter_exit(argv.split())
     assert got == (code, *capsys.readouterr())
+
+
+# values the int and choice flags accept; "1" passes every other flag's parse
+_VALUES = {"--p": "3", "--op": "add"}
+
+
+def _short_of_one_required_flag(flags):
+    required = [flag for flag in flags if _FLAGS[flag].get("required")]
+    return [word for flag in required[:-1] for word in (flag, _VALUES.get(flag, "1"))]
+
+
+def _as_with_default_formatter(capsys, argv):
+    """What argv prints on `oracles.default_formatter_parser`: argparse's own
+    help or usage error, and with --json the error message as the one JSON
+    document the CLI prints in its place."""
+    code = default_formatter_exit(argv)
+    out, err = capsys.readouterr()
+    if code == 2 and "--json" in argv:
+        prog, _, message = err.splitlines()[-1].partition(": error: ")
+        out = json.dumps({"command": prog.partition(" ")[2], "diagnostics": [message],
+                          "inputs": {}, "result": None, "status": "error"},
+                         sort_keys=True, separators=(",", ":")) + "\n"
+        err = ""
+    return code, out, err
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+@pytest.mark.parametrize("case", ["help", "missing"])
+@pytest.mark.parametrize("group, sub, flags", [(g, s, f) for g, s, _, f in cli._COMMANDS])
+def test_each_subcommand_helps_and_refuses_as_with_argparse_default_formatter(
+        capsys, monkeypatch, group, sub, flags, case, mode):
+    monkeypatch.setenv("COLUMNS", "80")
+    rest = ["--help"] if case == "help" else _short_of_one_required_flag(flags)
+    argv = [group, sub, *rest, *mode]
+    got = invoke(capsys, *argv)
+    assert got == _as_with_default_formatter(capsys, argv)
+    assert got[0] == (0 if case == "help" else 2)
+
+
+def _counted_add_argument(monkeypatch):
+    added = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counted(self, *args, **kwargs):
+        added.append((self.prog, args[0]))
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    return added
+
+
+def test_a_parser_build_adds_only_the_help_actions(monkeypatch):
+    added = _counted_add_argument(monkeypatch)
+    build_parser()
+    groups = {group for group, _, _, _ in cli._COMMANDS}
+    assert len(added) == 1 + len(groups) + len(cli._COMMANDS) == 20
+    assert {flag for _, flag in added} == {"-h"}
+
+
+@pytest.mark.parametrize("group, sub, flags", [(g, s, f) for g, s, _, f in cli._COMMANDS])
+def test_parsing_adds_only_the_selected_subcommands_flags_once(capsys, monkeypatch, group, sub,
+                                                               flags):
+    parser = build_parser()
+    added = _counted_add_argument(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(SystemExit):
+            parser.parse_args([group, sub, "--help"])
+    capsys.readouterr()
+    assert added == [(f"tatedual {group} {sub}", flag) for flag in flags + ("--json",)]
+
+
+# a run, --help, usage errors at each depth in both modes, malformed text and
+# a domain error, then the first run once more
+REUSE_SEQUENCE = [
+    "tate coeffs --p 3 --q 3 --prec 8",
+    "gamma density --p 3 --q 3 --prec 6 --target 1/2 --epsilon 1/9 --json",
+    "gamma density --help",
+    "--help",
+    "nonsense", "nonsense --json",
+    "gamma nonsense", "gamma nonsense --json",
+    "gamma density --p 3", "gamma density --p 3 --json",
+    "gamma gens --p x --prec 3 --q 2", "gamma gens --p x --prec 3 --q 2 --json",
+    "tate coeffs --p 3 --q 3 --prec 8 extra",
+    "dual pair --p 3 --z 1 --prec 2 --gamma 1/4^-1",
+    "padic arith --op invert --p 3 --x 3 --prec 4",
+    "padic arith --op invert --p 3 --x 3 --prec 4 --json",
+    "tate coeffs --p 3 --q 3 --prec 8",
+]
+
+
+def test_one_parser_reused_prints_as_a_fresh_parser_each_time(capsys, monkeypatch):
+    fresh = [invoke(capsys, *argv.split()) for argv in REUSE_SEQUENCE]
+    tree = build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: tree)
+    reused = [invoke(capsys, *argv.split()) for argv in REUSE_SEQUENCE]
+    assert reused == fresh
+    assert {code for code, _, _ in fresh} == {0, 2, 3}
 
 
 @pytest.mark.parametrize(
