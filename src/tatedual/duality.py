@@ -7,8 +7,8 @@ the rational points of the circle, and at each finite level the induced
 pairing (Z/p^n) x (Z/p^n) -> (1/p^n)Z/Z is perfect.  The exhaustive
 finite-level verification is the content of `perfectness_check`: one packed
 scan of the whole table, one comparison per cell, decides bilinearity and
-both nondegeneracies, and `pair` is the element-by-element route the tests
-hold it against.
+both nondegeneracies and reports a table that fails from the same pass, and
+`pair` is the element-by-element route the tests hold it against.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .numutil import check_prime
 
 # the scan visits modulus**2 cells, one packed row of them per step: 2**13
 # admits 2**26 cells, and a whole `dual check` at 2**13, 8191 or 89**2 takes
-# 0.4-0.6 s in pure Python on a 2-vCPU host
+# 0.3-0.4 s in pure Python on a 2-vCPU host
 ENUMERATION_GUARD = 2 ** 13
 
 
@@ -94,10 +94,11 @@ def perfectness_check(p: int, level: int) -> PerfectnessReport:
     no induction over rows; the table is then bilinear, which keeps the
     exhaustion quadratic, and has no residue z != 0 pairing to zero with
     all of the torsion (left degeneracy) and no torsion element c/p^n != 0
-    paired to zero by all residues (right degeneracy).  A table that fails is walked again
-    with both steps in every cell, which finds its zero rows and columns
-    and its first failing cell.  Counterexamples list the left ones, then
-    the right ones, then the first failing bilinearity triple.
+    paired to zero by all residues (right degeneracy).  For a table that
+    fails, the same scan keeps its zero rows, its zero columns (the zero
+    lanes of the OR of all rows) and the first row whose c-step fails, at
+    its lowest failing lane, as ("gamma-additivity", z, c).  Counterexamples
+    list the left ones, then the right ones, then that triple.
     """
     check_prime(p)
     if level < 0:

@@ -15,7 +15,10 @@ subtraction of m in every lane, with no products.  Each row is checked by
 its own c-step, one comparison per cell: shifted down one lane it must
 equal row z + z in every lane mod m.  The shifted-out top lane must wrap to
 0, which forces lane 0 to be 0, so a row that passes holds z*c mod m in
-lane c, and the table is bilinear with no zero row or column.
+lane c, and the table is bilinear with no zero row or column.  A table
+that fails reports, from the same pass, the first row whose c-step fails
+with its lowest failing lane, the zero rows, and the zero lanes of the OR
+of all rows as its zero columns.
 The conditional subtraction adds 2**(W-1) - m to every lane, which sets the
 guard bit at the top of a lane exactly when the lane held at least m, and
 turns those guard bits into masks that keep the sum in those lanes; setting
@@ -23,8 +26,6 @@ the guard bits and subtracting 1 instead reads which lanes are zero.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 
 def to_int(digits, p):
@@ -115,10 +116,8 @@ def bilinear_scan(p, level):
 
     Returns (zero_rows, zero_columns, failure): the z != 0 and the c != 0
     whose row or column of z*c vanishes (left and right degeneracy), and
-    None or the first failing (slot, z, c) triple of the cell-by-cell walk
-    that checks every pair (z, c) for the successor steps z -> z+1 (first
-    slot) and c -> c+1 (second slot), in z-major then c order with the
-    first slot's check before the second's in each cell.
+    None or ("gamma-additivity", z, c) for the first row z whose c-step
+    fails, at its lowest failing lane c.
 
     A whole row z is checked per step, packed as `_Lanes` and walked by
     `_Lanes.rows`.  Each row is checked on its own by its c-step, one
@@ -128,54 +127,28 @@ def bilinear_scan(p, level):
     0, and lane m-1 + z = lane 0 + m*z = lane 0 mod m, so lane 0 is 0 and
     lane c holds z*c mod m.  So a table that passes is z*c mod m, with no
     induction over rows: it passes the z-step too, and no row z != 0 (lane
-    1 holds z) or column c != 0 (row 1 holds c) is 0.  Only a table that
-    fails somewhere is walked again by `_failing_scan` with both
-    comparisons in every cell, for its triple and its zero rows and
-    columns.
+    1 holds z) or column c != 0 (row 1 holds c) is 0.  The same pass keeps
+    what the report of a table that fails needs: the zero rows, the first
+    failing row's triple, and the OR of all rows, whose zero lanes are the
+    zero columns.
     """
     m = p ** level
     if m == 1:
         return (), (), None
     lanes = _Lanes(m)
-    width, ones, wrap = lanes.width, lanes.ones, lanes.wrap
-    step = 0  # z in every lane
-    for row in lanes.rows():
-        if row >> width != wrap(row + step):
-            return _failing_scan(lanes)
-        step += ones
-    return (), (), None
-
-
-def _failing_scan(lanes):
-    """`bilinear_scan`'s result for a table that fails, walking every row
-    with both steps: the first slot compares row z+1 with row z + row 1 mod
-    m, the second compares row z shifted down one lane with row z + z in
-    every lane mod m (both top lanes are z*m mod m = 0).  A failure does not
-    stop the walk.  A column is zero when its lane is zero in the OR of all
-    rows."""
-    ones, width, wrap = lanes.ones, lanes.width, lanes.wrap
-    rows = lanes.rows()
-    row = row_zero = next(rows)
-    row_one = next(rows)  # m >= 2
+    width, ones, wrap, guard = lanes.width, lanes.ones, lanes.wrap, lanes.guard
     zero_rows, seen, failure = [], 0, None
-    # row z+1 for z = 0..m-1, row m being row 0
-    for z, following in enumerate(chain((row_one,), rows, (row_zero,))):
-        first_slot = wrap(row + row_one)
-        second_slot = wrap(row + z * ones)
-        shifted = row >> width
-        if failure is None and (following != first_slot or shifted != second_slot):
-            c_first = next(_lanes_set(following ^ first_slot, width), None)
-            c_second = next(_lanes_set(shifted ^ second_slot, width), None)
-            if c_second is None or (c_first is not None and c_first <= c_second):
-                failure = ("z-additivity", z, c_first)
-            else:
-                failure = ("gamma-additivity", z, c_second)
+    step = 0  # z in every lane
+    for z, row in enumerate(lanes.rows()):
+        shifted, expected = row >> width, wrap(row + step)
+        if shifted != expected and failure is None:
+            failure = ("gamma-additivity", z, next(_lanes_set(shifted ^ expected, width)))
         if not row and z:
             zero_rows.append(z)
         seen |= row
-        row = following
+        step += ones
     # each lane of seen is below m, so its guard bit survives subtracting 1
     # exactly when the lane is nonzero
-    zero_lanes = (((seen | lanes.guard) - ones) & lanes.guard) ^ lanes.guard
+    zero_lanes = (((seen | guard) - ones) & guard) ^ guard
     zero_columns = tuple(c for c in _lanes_set(zero_lanes, width) if c)
     return tuple(zero_rows), zero_columns, failure

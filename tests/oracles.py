@@ -12,7 +12,7 @@ from tatedual.padic import CanonicalSequence, PAdicInt
 from tatedual.supernatural import UHFDescriptor
 
 
-# --- the Tate series as exact rationals ---------------------------------------
+# --- the Tate curve: its series as exact rationals, its discriminant ----------
 
 def reduce_mod(f: Fraction, p: int, n: int) -> int:
     """Reduce an exact rational with unit denominator to its residue."""
@@ -36,6 +36,19 @@ def rational_a6(q_int: int, terms: int) -> Fraction:
         ),
         Fraction(0),
     )
+
+
+def tate_discriminant(q: PAdicInt) -> int:
+    """The Tate curve's discriminant q * prod_{n >= 1} (1 - q^n)^24 mod p**N
+    (Silverman, Advanced Topics, V.3), as the product, with no divisor sums.
+    q must have valuation at least 1: a factor with q^n = 0 mod p**N is 1,
+    and so are all after it."""
+    m = q.p ** q.precision
+    product, q_pow = 1, q.value
+    while q_pow:
+        product = product * pow(1 - q_pow, 24, m) % m
+        q_pow = q_pow * q.value % m
+    return q.value * product % m
 
 
 # --- the canonical sequence ------------------------------------------------------
@@ -95,91 +108,6 @@ def bidual_eval(gamma: PruferElement, z: PAdicInt) -> CircleElement:
     checked against it."""
     z_mod = z.value % (gamma.p ** max(gamma.level, 1))
     return CircleElement((z_mod * _fraction(gamma)) % 1)
-
-
-class _Lanes:
-    """The Barrett layout of `two_comparison_scan`, sharing no row builder
-    with `kernels._Lanes`: m residues mod m packed into one int, lane c at
-    bits [W*c, W*(c+1)), W = 3b + 2 for b = m.bit_length().  A lane value
-    below 4**b times the Barrett constant r = floor(4**b / m) stays below
-    2**(3b+1), so the product of a whole packed int by r carries into no
-    neighbour, and the top bit of each lane is left free as a guard bit."""
-
-    def __init__(self, m):
-        b = m.bit_length()
-        self.m = m
-        self.width = w = 3 * b + 2
-        self.shift = 2 * b
-        self.r = (1 << 2 * b) // m
-        self.ones = int(f"{1:0{w}b}" * m, 2)  # 1 in every lane
-        self.quotient_mask = ((1 << w - 2 * b) - 1) * self.ones
-        self.guard = self.ones << w - 1
-        self.guard_minus_m = self.guard - m * self.ones  # 2**(W-1) - m in every lane
-
-    def counting(self):
-        """The packed row whose lane c holds c."""
-        return int("".join(f"{c:0{self.width}b}" for c in reversed(range(self.m))), 2)
-
-    def reduce(self, x):
-        """Every lane of x mod m, for lanes below 4**b.
-
-        The Barrett quotient q = floor(x*r / 4**b) is at most one short of
-        floor(x/m), since x*r/4**b > x/m - x/4**b > x/m - 1; so x - q*m
-        lies in [0, 2m) and one conditional subtraction finishes."""
-        q = (x * self.r >> self.shift) & self.quotient_mask
-        return self.wrap(x - q * self.m)
-
-    def wrap(self, x):
-        """Every lane of x, each below 2m, brought into [0, m): adding
-        2**(W-1) - m sets the guard bit exactly in the lanes holding at
-        least m, and those lanes take the sum, less the guard bit."""
-        lifted = x + self.guard_minus_m
-        at_least_m = lifted & self.guard
-        mask = at_least_m - (at_least_m >> self.width - 1)
-        return x ^ ((x ^ lifted) & mask)
-
-
-def _lanes_set(x, width):
-    """The lanes of the packed int x holding a nonzero value, lowest first."""
-    while x:
-        low = x & -x
-        yield (low.bit_length() - 1) // width
-        x ^= low
-
-
-def two_comparison_scan(p: int, level: int):
-    """`kernels.bilinear_scan`'s (zero rows, zero columns, first failing
-    triple) without the one-comparison argument it relies on, and with rows
-    of its own Barrett layout: every packed row z is built from z alone as
-    z*C reduced mod m, not walked by z-steps, and compared twice per cell,
-    with row z-1 + row 1 (the z-step) and, shifted down one lane, with row
-    z + z in every lane (the c-step)."""
-    m = p ** level
-    if m == 1:
-        return (), (), None
-    lanes = _Lanes(m)
-    counting, ones, width = lanes.counting(), lanes.ones, lanes.width
-    row_one, row = lanes.reduce(counting), lanes.reduce(0)
-    zero_rows, seen, failure = [], 0, None
-    for z in range(m):
-        following = lanes.reduce((z + 1) % m * counting)
-        first_slot = lanes.wrap(row + row_one)
-        second_slot = lanes.wrap(row + z * ones)
-        shifted = row >> width
-        if failure is None and (following != first_slot or shifted != second_slot):
-            c_first = next(_lanes_set(following ^ first_slot, width), None)
-            c_second = next(_lanes_set(shifted ^ second_slot, width), None)
-            if c_second is None or (c_first is not None and c_first <= c_second):
-                failure = ("z-additivity", z, c_first)
-            else:
-                failure = ("gamma-additivity", z, c_second)
-        if not row and z:
-            zero_rows.append(z)
-        seen |= row
-        row = following
-    zero_lanes = (((seen | lanes.guard) - ones) & lanes.guard) ^ lanes.guard
-    zero_columns = tuple(c for c in _lanes_set(zero_lanes, width) if c)
-    return tuple(zero_rows), zero_columns, failure
 
 
 # --- UHF size sequences ----------------------------------------------------------

@@ -1,16 +1,15 @@
 """Residue-kernel tests: the ring operations against a big-integer oracle,
 the digit/integer round trip, and the exhaustive pairing scan: its packed
-rows lane by lane, and its results against the cell-by-cell loop and the
-two-comparison packed scan of the test oracles (a Barrett layout of its
-own), also with one lane corrupted, one row zeroed or one column zeroed."""
+rows lane by lane, its results against the cell-by-cell loop up to m = 256
+and the known perfect result above, and the report of a table that fails,
+with one lane corrupted, one row zeroed or one column zeroed, against the
+c-step read off the unpacked table."""
 
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-import oracles
-from oracles import two_comparison_scan
 
 from tatedual import kernels
 from tatedual.duality import perfectness_check
@@ -148,10 +147,11 @@ def small_prime_levels(bound):
 
 def scan_oracle(p, level):
     """The cell-by-cell loop's result up to m = 256, where it is cheap, and
-    the two-comparison packed scan's above."""
+    the perfect table's above: multiplication mod a prime power is bilinear
+    with no zero row or column."""
     if p ** level <= 256:
         return (), (), loop_scan(p, level)
-    return two_comparison_scan(p, level)
+    return (), (), None
 
 
 @settings(deadline=None, max_examples=10)
@@ -174,9 +174,9 @@ PRIME_POWERS = sorted(
 
 @settings(deadline=None, max_examples=20)
 @given(case=st.sampled_from(PRIME_POWERS))
-def test_one_comparison_scan_matches_the_two_comparison_scan(case):
-    # 20 of the prime powers up to 2^11; each case costs at most about 0.1 s
-    assert kernels.bilinear_scan(*case) == two_comparison_scan(*case) == ((), (), None)
+def test_scan_finds_prime_powers_up_to_2_to_the_11_perfect(case):
+    # 20 of the prime powers up to 2^11
+    assert kernels.bilinear_scan(*case) == ((), (), None)
 
 
 # m just below, at and just above powers of two, and the largest moduli under
@@ -230,57 +230,32 @@ def test_row_is_z_times_c_mod_m_at_drawn_moduli(m, data):
 
 
 # the prime powers among LANE_MODULI up to 2^12 + 1 (the guard-sized moduli
-# take about 3 s each in the oracle): at m = 2**j a lane sum reaches 2m - 1,
-# just under the guard bit; 2**j + 1 takes a lane one bit wider than 2**j
+# take 0.3-0.4 s each, and test_cli runs dual check on them): at m = 2**j a
+# lane sum reaches 2m - 1, just under the guard bit; 2**j + 1 takes a lane one
+# bit wider than 2**j
 LANE_PRIME_POWERS = [
     (p, k) for m in LANE_MODULI if m <= 2 ** 12 + 1
     for p, k in factorize(m).items() if p ** k == m]
 
 
 @pytest.mark.parametrize("p, level", LANE_PRIME_POWERS)
-def test_scan_matches_the_two_comparison_scan_next_to_powers_of_two(p, level):
-    assert kernels.bilinear_scan(p, level) == two_comparison_scan(p, level) == ((), (), None)
-
-
-def test_a_perfect_table_takes_one_comparison_per_cell(monkeypatch):
-    # only a table that fails is walked again with both steps
-    def walked_again(lanes):
-        raise AssertionError(f"perfect table at m = {lanes.m} walked again")
-
-    monkeypatch.setattr(kernels, "_failing_scan", walked_again)
-    for p, level in LANE_PRIME_POWERS + [(3, 7), (43, 2), (2039, 1)]:
-        assert kernels.bilinear_scan(p, level) == ((), (), None)
-
-
-@settings(deadline=None)
-@given(m=st.integers(2, 2 ** 13 + 1), data=st.data())
-def test_reduce_takes_every_lane_below_4_to_the_b(m, data):
-    # the oracle's Barrett layout is sized for any lane below 4**b (b = bits
-    # of m), not only for the products z*c < m**2 that a row holds
-    lanes = oracles._Lanes(m)
-    count = min(m, 64)
-    values = data.draw(st.lists(st.integers(0, 4 ** m.bit_length() - 1),
-                                min_size=count, max_size=count))
-    packed = sum(v << lanes.width * c for c, v in enumerate(values))
-    reduced = lanes.reduce(packed)
-    assert unpack(reduced, lanes)[:count] == [v % m for v in values]
-    assert reduced >> lanes.width * count == 0
+def test_scan_is_perfect_next_to_powers_of_two(p, level):
+    assert kernels.bilinear_scan(p, level) == ((), (), None)
 
 
 def table_scan(table, m):
-    """The scan's (zero rows, zero columns, first failing triple), with the
-    loop's order and checks, reading row z's lane c from table[z][c]."""
+    """The scan's (zero rows, zero columns, first failing triple), reading
+    row z's lane c from table[z][c]."""
     zero_rows = tuple(z for z in range(1, m) if not any(table[z]))
     zero_columns = tuple(c for c in range(1, m) if not any(row[c] for row in table))
     return zero_rows, zero_columns, first_failure(table, m)
 
 
 def first_failure(table, m):
+    """The first cell, in z-major then c order, whose c-step fails: lane
+    c+1 of row z (0 past the top lane) is not lane c + z mod m."""
     for z in range(m):
-        z1 = (z + 1) % m
         for c in range(m):
-            if table[z1][c] != (table[z][c] + table[1][c]) % m:
-                return ("z-additivity", z, c)
             shifted = table[z][c + 1] if c + 1 < m else 0
             if shifted != (table[z][c] + z) % m:
                 return ("gamma-additivity", z, c)
@@ -317,21 +292,26 @@ def corrupt_lane(monkeypatch, m, z0, c0):
     edit_rows(monkeypatch, corrupted)
 
 
+# a lane c0 > 0 moved up fails the c-step from lane c0 - 1 first; lane 0 its own
 @pytest.mark.parametrize(
     "p, level, z0, c0, expected",
     [
-        (3, 4, 40, 17, ("z-additivity", 39, 17)),
-        (2, 6, 63, 0, ("z-additivity", 62, 0)),
-        (7, 2, 0, 5, ("gamma-additivity", 0, 4)),  # row 0 fails its own shift first
-        (5, 2, 1, 3, ("gamma-additivity", 1, 2)),  # row 0's z-step adds row 1 to 0 and holds
-        (2, 3, 2, 7, ("z-additivity", 1, 7)),
+        (3, 4, 40, 17, ("gamma-additivity", 40, 16)),
+        (2, 6, 63, 0, ("gamma-additivity", 63, 0)),
+        (7, 2, 0, 5, ("gamma-additivity", 0, 4)),
+        (5, 2, 1, 3, ("gamma-additivity", 1, 2)),
+        (2, 3, 2, 7, ("gamma-additivity", 2, 6)),  # the top lane
     ],
 )
-def test_mismatch_returns_the_loops_first_failing_cell(monkeypatch, p, level, z0, c0, expected):
+def test_mismatch_returns_the_first_failing_c_step(monkeypatch, p, level, z0, c0, expected):
     m = p ** level
     corrupt_lane(monkeypatch, m, z0, c0)
     assert table_scan(reduced_rows(m), m) == ((), (), expected)
     assert kernels.bilinear_scan(p, level) == ((), (), expected)
+    report = perfectness_check(p, level)
+    assert (report.left_nondegenerate, report.right_nondegenerate, report.bilinear) == (
+        True, True, False)
+    assert report.counterexamples == (expected,)
 
 
 @settings(deadline=None, max_examples=30)
@@ -346,12 +326,12 @@ def test_any_corrupted_lane_gives_the_table_loops_triple(case, data):
         assert kernels.bilinear_scan(*case) == table
 
 
+# a zeroed row z fails its c-step at lane 0: lane 1 holds 0, not 0 + z
 @pytest.mark.parametrize(
     "p, level, z0, right, expected",
     [
-        (3, 2, 4, True, (("left", 4), ("z-additivity", 3, 1))),
-        (2, 4, 15, True, (("left", 15), ("z-additivity", 14, 1))),
-        # row 1 is row 0's z-step addend too, so that step holds and row 1's shift fails
+        (3, 2, 4, True, (("left", 4), ("gamma-additivity", 4, 0))),
+        (2, 4, 15, True, (("left", 15), ("gamma-additivity", 15, 0))),
         (7, 1, 1, True, (("left", 1), ("gamma-additivity", 1, 0))),
         # at m = 2 the zeroed row holds the only nonzero lane, so column 1 goes too
         (2, 1, 1, False, (("left", 1), ("right", "1/2^1"), ("gamma-additivity", 1, 0))),

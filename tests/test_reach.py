@@ -38,9 +38,6 @@ ALLOWED = {
     "padic.PAdicInt.__repr__": _RECORD,
     "padic.PAdicInt.__setattr__": _RECORD,
     "padic.PAdicInt.__delattr__": _RECORD,
-    "kernels._failing_scan": "locates a failed pairing scan; multiplication mod p^n never "
-                             "fails it, so only fault-injection tests reach it",
-    "kernels._lanes_set": "used by _failing_scan alone",
 }
 
 # a few seeded argvs per subcommand, then the named argvs of the CLI tests

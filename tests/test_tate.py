@@ -1,14 +1,19 @@
-"""Tate coefficients against an independent exact-rational oracle and
-against the per-term residue series the Lambert form replaced."""
+"""Tate coefficients against an independent exact-rational oracle, against
+the per-term residue series the Lambert form replaced, and against the
+curve's own discriminant identities, which share no divisor sum with them."""
 
+import contextlib
+import io
+import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SMALL_PRIMES, random_q
-from oracles import rational_a4, rational_a6, reduce_mod
+from oracles import rational_a4, rational_a6, reduce_mod, tate_discriminant
+from tatedual.cli import run
 from tatedual.errors import DomainError
 from tatedual.padic import padic_from_integer
 from tatedual.tate import (
@@ -162,3 +167,63 @@ def test_lambert_horner_matches_residue_series(q):
         value = series(q)
         assert value == residue_series(q, coefficient, n_max)
         assert value == residue_series(q, coefficient, n_max + 10)
+
+
+# --- the curve's discriminant (Silverman, Advanced Topics, V.3) ------------
+
+P63 = 9223372036854775783  # the largest prime below 2^63
+
+
+@st.composite
+def tate_curve_q(draw):
+    """(q, --q text): q = p**v * u mod p**N with 1 <= v <= 3 and u a unit,
+    small (below p) or full-size; N up to 1,000, fewer where p**N would pass
+    about 4,000 bits; the text is q's integer or its digit list."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 65521, 2 ** 61 - 1, P63)))
+    v = draw(st.integers(1, 3))
+    n = draw(st.integers(v + 1, max(v + 1, min(1000, 4000 // p.bit_length()))))
+    u = draw(st.integers(1, p - 1))
+    if draw(st.booleans()):  # hypothesis draws big integers mostly small
+        u += p * random.Random(draw(st.integers(0, 2 ** 32))).randrange(p ** (n - v - 1))
+    q = padic_from_integer(p ** v * u, p, n)
+    text = f"[{','.join(map(str, q.digits))}]" if draw(st.booleans()) else str(q.value)
+    return q, text
+
+
+def library_coefficients(q, text):
+    """a4 and a6 from `tate_coefficients`."""
+    coeffs = tate_coefficients(q)
+    return coeffs.a4.value, coeffs.a6.value
+
+
+def cli_coefficients(q, text):
+    """a4 and a6 as `tate coeffs --json` prints their digits, q given as text."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["tate", "coeffs", "--p", str(q.p), "--prec", str(q.precision),
+                    "--q", text, "--json"])
+    assert code == 0
+    result = json.loads(out.getvalue())["result"]
+    return [sum(d * q.p ** i for i, d in enumerate(result[f"{key}_digits"]))
+            for key in ("a4", "a6")]
+
+
+# E_q: y^2 + xy = x^3 + a4 x + a6 has b2 = 1, b4 = 2 a4, b6 = 4 a6 and
+# b8 = a6 - a4^2, and c4 = 1 - 48 a4, c6 = -1 + 72 a4 - 864 a6; both identities
+# are integer polynomials in a4 and a6, so they hold mod p**N at p = 2 and 3.
+# 40 drawn examples plus 2 stated ones per route, each within a 2 s deadline
+# (the slowest, at p = 7 and N = 1,000, take about 0.25 s on a 2-vCPU host)
+@pytest.mark.parametrize("coefficients", [library_coefficients, cli_coefficients])
+@settings(max_examples=40, deadline=2000)
+@example(case=(padic_from_integer(2, 2, 1000), "2"))
+@example(case=(padic_from_integer(-P63, P63, 63), f"[0{f',{P63 - 1}' * 62}]"))
+@given(case=tate_curve_q())
+def test_coefficients_satisfy_the_curves_discriminant_identities(coefficients, case):
+    q, text = case
+    m = q.p ** q.precision
+    delta = tate_discriminant(q)
+    a4_value, a6_value = coefficients(q, text)
+    b4, b6, b8 = 2 * a4_value, 4 * a6_value, a6_value - a4_value ** 2
+    assert (-b8 - 8 * b4 ** 3 - 27 * b6 ** 2 + 9 * b4 * b6 - delta) % m == 0
+    c4, c6 = 1 - 48 * a4_value, -1 + 72 * a4_value - 864 * a6_value
+    assert (c4 ** 3 - c6 ** 2 - 1728 * delta) % m == 0
