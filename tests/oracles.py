@@ -102,6 +102,9 @@ def rand_prufer(rng, p: int, max_level: int) -> PruferElement:
 
 # --- the pairing -------------------------------------------------------------------
 
+CIRCLE_ZERO = CircleElement(Fraction(0))  # the zero of R/Z
+
+
 def bidual_eval(gamma: PruferElement, z: PAdicInt) -> CircleElement:
     """Evaluation of the double-dual element attached to gamma on the
     character z, through exact rational arithmetic; `pair(z, gamma)` is

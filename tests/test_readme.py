@@ -1,7 +1,8 @@
 """README against the CLI: every `tatedual` example line runs in a child
 process in text and with --json, a `# <output>` line under an example is
 what it prints (`...` stands for any text), and the "Subcommands:" list is
-exactly the parsers the CLI builds, each with a --help."""
+exactly the parsers the CLI builds, each with a --help, and the "Each
+command adds:" list names the modules `test_records.FIRST_RUNS` pins."""
 
 import re
 import shlex
@@ -11,6 +12,7 @@ import pytest
 
 from tatedual.cli import _COMMANDS
 from test_cli import _one_document, cli_subprocess, invoke
+from test_records import FIRST_RUNS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 _LINES = README.splitlines()
@@ -24,6 +26,20 @@ SUBCOMMANDS = re.findall(
     r"`([a-z]+) ([a-z0-9-]+)`",
     README.partition("\nSubcommands:")[2].partition("Common flags:")[0],
 )
+
+
+def _modules_each_command_adds():
+    """(group, subcommand, its sorted modules) for each command of the "Each
+    command adds:" list; a bare subcommand takes the group named before it."""
+    section = README.partition("Each command adds:\n")[2].partition("\n\n")[0]
+    listed = []
+    for item in re.split(r"^- ", section, flags=re.MULTILINE)[1:]:
+        commands, _, modules = item.partition(":")
+        for command in re.findall(r"`([a-z0-9 -]+)`", commands):
+            *named, sub = command.split()
+            group = named[0] if named else group
+            listed.append((group, sub, sorted(re.findall(r"`([a-z]+)`", modules))))
+    return listed
 
 
 @pytest.mark.parametrize("argv, shown", EXAMPLES, ids=["-".join(a[:2]) for a, _ in EXAMPLES])
@@ -46,3 +62,8 @@ def test_readme_lists_every_subcommand_the_cli_builds():
                          ids=["root"] + ["-".join(s) for s in SUBCOMMANDS])
 def test_help_exits_zero(capsys, argv):
     assert invoke(capsys, *argv, "--help")[0] == 0
+
+
+def test_readme_module_list_matches_the_first_runs():
+    pinned = [(*argv.split()[:2], sorted(modules.split())) for argv, modules in FIRST_RUNS]
+    assert sorted(_modules_each_command_adds()) == sorted(pinned)

@@ -160,7 +160,7 @@ FIRST_RUNS = [
     ("tate coeffs --p 3 --q 3 --prec 8 --json", "tate padic kernels numutil"),
     ("dual pair --p 3 --z 5 --prec 3 --gamma 2/9",
      "duality gamma padic kernels numutil"),
-    ("dual check --p 3 --level 2 --json", "duality kernels numutil"),
+    ("dual check --p 3 --level 2 --json", "duality numutil"),
 ]
 
 
