@@ -187,7 +187,7 @@ def _cmd_gamma_gens(ns):
     if k is not None and not q.is_zero() and (v := q.valuation()) + k <= q.precision:
         pv, pk = q.p ** v, q.p ** k
         printable(q.value % (pv * pk) // pv, pk)
-    return {"generators": [_fraction(g) for g in gamma.gamma_generators(q)]}
+    return {"generators": [str(g) for g in gamma.gamma_generators(q)]}
 
 
 def _cmd_gamma_group(ns):

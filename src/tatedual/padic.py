@@ -1,9 +1,11 @@
 """Fixed-precision p-adic integers.
 
 A value is a residue mod p**N, stored as its canonical integer in
-[0, p**N) and standing for a p-adic integer known to precision N; its
-base-p digits, least significant first, are derived when asked for.  All
-operations are exact mod p**N and never extend precision on their own.
+[0, p**N) and standing for a p-adic integer known to precision N; only this
+module converts it to and from its base-p digits, least significant first
+(`_to_int` for digit-list input, `_from_int` when the digits are asked
+for).  All operations are exact mod p**N and never extend precision on
+their own.
 """
 
 from __future__ import annotations
@@ -25,6 +27,22 @@ class _AtLeastPrecision:
 
 
 AT_LEAST_PRECISION = _AtLeastPrecision()
+
+
+def _to_int(digits, p):
+    v = 0
+    for d in reversed(digits):
+        v = v * p + d
+    return v
+
+
+def _from_int(value, p, n):
+    """The low n base-p digits of any integer, least significant first."""
+    out = []
+    for _ in range(n):
+        value, d = divmod(value, p)
+        out.append(d)
+    return tuple(out)
 
 
 class PAdicInt:
@@ -51,7 +69,7 @@ class PAdicInt:
         for i, d in enumerate(digits):
             if not isinstance(d, int) or isinstance(d, bool) or not 0 <= d < p:
                 raise DomainError(f"digit c_{i}={d!r} out of range [0, {p - 1}]")
-        object.__setattr__(self, "value", kernels.to_int(digits, p))
+        object.__setattr__(self, "value", _to_int(digits, p))
         self.__dict__["digits"] = digits  # seeds the cached property
 
     @classmethod
@@ -88,7 +106,7 @@ class PAdicInt:
     @cached_property
     def digits(self) -> tuple[int, ...]:
         """The N base-p digits c_0..c_{N-1}, least significant first."""
-        return kernels.from_int(self.value, self.p, self.precision)
+        return _from_int(self.value, self.p, self.precision)
 
     @property
     def _modulus(self) -> int:

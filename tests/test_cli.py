@@ -702,6 +702,18 @@ def test_enumeration_guard_admits_2_to_the_13_and_no_more():
         _check_enumeration_guard(2, 14)
 
 
+# the largest moduli the benchmark scans: the prime 2039, and 2^11, whose lane
+# sums reach 2m - 1, just under the guard bit
+@pytest.mark.parametrize("p, level", [("2039", "1"), ("2", "11")])
+def test_dual_check_at_the_largest_benchmark_moduli_is_perfect(capsys, p, level):
+    code, out, err = invoke(capsys, "dual", "check", "--p", p, "--level", level, "--json")
+    assert code == 0
+    assert _one_document(out, err)["result"] == {
+        "p": int(p), "level": int(level), "modulus": int(p) ** int(level),
+        "left_nondegenerate": True, "right_nondegenerate": True, "bilinear": True,
+        "perfect": True, "counterexamples": []}
+
+
 @pytest.mark.parametrize("p, level", [("2", "13"), ("8191", "1"), ("89", "2")])
 def test_dual_check_at_the_enumeration_guard_is_perfect_within_60_s(p, level):
     done = cli_subprocess("dual", "check", "--p", p, "--level", level, "--json", timeout=60)
@@ -946,6 +958,8 @@ USAGE_ERRORS = [
     ("nonsense --json", "", "argument group: invalid choice: 'nonsense'"),
     ("gamma gens --p 2 --prec 3 --q 2 --json --bogus", "",
      "unrecognized arguments: --bogus"),
+    ("gamma density --p 3 --json", "gamma density",
+     "the following arguments are required: --target, --epsilon"),
 ]
 
 

@@ -1,5 +1,5 @@
-"""p-adic core: digit expansions, ring operations, valuations and canonical
-sequences."""
+"""p-adic core: digit expansions and their round trip through the canonical
+integer, ring operations, valuations and canonical sequences."""
 
 import random
 
@@ -13,6 +13,8 @@ from tatedual.errors import DomainError
 from tatedual.padic import (
     AT_LEAST_PRECISION,
     PAdicInt,
+    _from_int,
+    _to_int,
     arithmetic,
     canonical_sequence,
     padic_from_integer,
@@ -29,6 +31,22 @@ def digits_by_repeated_division(m, p, n):
 
 
 # --- construction ---------------------------------------------------------
+
+# every prime size a residue admits, up to the 63-bit prime 2^63 - 25
+ROUNDTRIP_PRIMES = (2, 3, 5, 7, 11, 97, 65521, 2 ** 61 - 1, 2 ** 63 - 25)
+
+
+@given(
+    m=st.integers(min_value=-(10 ** 12), max_value=10 ** 12),
+    p=st.sampled_from(ROUNDTRIP_PRIMES),
+    n=st.integers(min_value=1, max_value=24),
+)
+def test_from_int_to_int_roundtrip(m, p, n):
+    digits = _from_int(m, p, n)
+    assert len(digits) == n
+    assert all(0 <= d < p for d in digits)
+    assert _to_int(digits, p) == m % p ** n
+
 
 def test_from_integer_examples():
     assert padic_from_integer(12, 3, 3).digits == (0, 1, 1)
