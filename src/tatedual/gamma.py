@@ -275,14 +275,18 @@ _PRUFER_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+)\s*(?:\^\s*(\d+))?)?\s*$")
 
 
 def prufer_level(text: str, p: int) -> int | None:
-    """The level of the torsion element written `a/p^k` in text, read from
-    the exponent without building p**k: max(0, k - v_p(a)), or 0 for a = 0.
-    None for any other text, malformed ones included."""
+    """The level of the torsion element written `a/b^k` in text, b = p^e, read
+    from the exponents without building b**k: max(0, e*k - v_p(a)), or 0 for
+    a = 0.  None for any other text, malformed ones and base 0 included."""
     m = _PRUFER_RE.match(text)
-    if m is None or m.group(3) is None or int(m.group(2)) != p:
+    # base 0 is ruled out first: split_power(0, p) never returns
+    if m is None or m.group(3) is None or int(m.group(2)) == 0:
+        return None
+    e, rest = split_power(int(m.group(2)), p)
+    if rest != 1:
         return None
     num, k = int(m.group(1)), int(m.group(3))
-    return max(0, k - split_power(abs(num), p)[0]) if num else 0
+    return max(0, e * k - split_power(abs(num), p)[0]) if num else 0
 
 
 def parse_prufer(text: str, p: int) -> PruferElement:

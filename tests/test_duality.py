@@ -195,17 +195,6 @@ def test_circle_element_validation_and_addition():
 
 # --- the packed scan ----------------------------------------------------------
 
-@settings(deadline=None)
-@given(p=st.sampled_from((2, 3, 5)), level=st.integers(min_value=0, max_value=3))
-def test_bilinear_scan_passes_small_levels(p, level):
-    assert duality.bilinear_scan(p, level) == ((), (), None)
-
-
-def test_bilinear_scan_passes_listed_levels():
-    for p, level in [(2, 5), (3, 3), (5, 2), (7, 1), (2, 0)]:
-        assert duality.bilinear_scan(p, level) == ((), (), None)
-
-
 def loop_scan(p, level):
     """The cell-by-cell scan the packed one replaced: the differential oracle."""
     m = p ** level
@@ -320,17 +309,19 @@ def test_row_is_z_times_c_mod_m_at_drawn_moduli(m, data):
     assert_rows_are_z_times_c_mod_m(duality._Lanes(m), {0, 1, m - 1, z})
 
 
-# the prime powers among LANE_MODULI up to 2^12 + 1 (the guard-sized moduli
-# take 0.3-0.4 s each, and test_cli runs dual check on them): at m = 2**j a
-# lane sum reaches 2m - 1, just under the guard bit; 2**j + 1 takes a lane one
-# bit wider than 2**j
-LANE_PRIME_POWERS = [
-    (p, k) for m in LANE_MODULI if m <= 2 ** 12 + 1
-    for p, k in factorize(m).items() if p ** k == m]
+# levels 0-3 at p = 2, 3 and 5, a few more small moduli, and the prime powers
+# among LANE_MODULI up to 2^12 + 1 (the guard-sized moduli take 0.3-0.4 s
+# each, and test_cli runs dual check on them): at m = 2**j a lane sum reaches
+# 2m - 1, just under the guard bit; 2**j + 1 takes a lane one bit wider than 2**j
+PERFECT_CASES = sorted(
+    {(p, level) for p in (2, 3, 5) for level in range(4)}
+    | {(2, 5), (3, 3), (5, 2), (7, 1), (2, 0)}
+    | {(p, k) for m in LANE_MODULI if m <= 2 ** 12 + 1
+       for p, k in factorize(m).items() if p ** k == m})
 
 
-@pytest.mark.parametrize("p, level", LANE_PRIME_POWERS)
-def test_scan_is_perfect_next_to_powers_of_two(p, level):
+@pytest.mark.parametrize("p, level", PERFECT_CASES)
+def test_scan_is_perfect(p, level):
     assert duality.bilinear_scan(p, level) == ((), (), None)
 
 

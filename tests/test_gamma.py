@@ -297,15 +297,18 @@ def test_parse_prufer_reads_the_foreign_factor_off_the_base(p, a, b, k):
 
 
 @given(p=st.sampled_from(SMALL_PRIMES), a=st.integers(-10 ** 6, 10 ** 6),
-       k=st.integers(0, 40))
-def test_prufer_level_from_the_exponent_is_the_parsed_level(p, a, k):
-    assert prufer_level(f"{a}/{p}^{k}", p) == parse_prufer(f"{a}/{p}^{k}", p).level
+       e=st.integers(0, 3), k=st.integers(0, 40))
+def test_prufer_level_from_the_exponent_is_the_parsed_level(p, a, e, k):
+    text = f"{a}/{p ** e}^{k}"
+    assert prufer_level(text, p) == parse_prufer(text, p).level
 
 
-def test_prufer_level_reads_only_a_over_p_to_the_k():
+def test_prufer_level_reads_only_a_over_a_power_of_p_to_the_k():
     assert prufer_level(" -3 / 3 ^ 5 ", 3) == 4
     assert prufer_level("0/3^99999999", 3) == 0
-    for text in ("1/9^2", "1/27", "5", "x/y", "1/3^-1"):
+    assert prufer_level("1/9^2", 3) == 4  # the base 3^2 counts twice per step of k
+    assert prufer_level("1/1^5", 3) == 0
+    for text in ("1/6^2", "0/0^3", "1/27", "5", "x/y", "1/3^-1"):
         assert prufer_level(text, 3) is None
 
 

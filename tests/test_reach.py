@@ -11,7 +11,7 @@ from pathlib import Path
 
 import tatedual
 from tatedual.cli import run
-from test_cli import P40_PRODUCT, PAST_STR_TO_INT_LIMIT, REJECTED_INPUTS, USAGE_ERRORS
+from test_cli import ACCEPTED_INPUTS, REJECTED_INPUTS, SLOW_INPUTS, USAGE_ERRORS
 from test_output_digests import COMMANDS, corpus
 
 PACKAGE = Path(tatedual.__file__).resolve().parent
@@ -40,16 +40,13 @@ ALLOWED = {
     "padic.PAdicInt.__delattr__": _RECORD,
 }
 
-# a few seeded argvs per subcommand, then the named argvs of the CLI tests
+# a few seeded argvs per subcommand, then the argvs of the CLI tables; of the
+# slow rows only one runs, the one that reaches Pollard rho in a third of a second
 DIGEST_ARGVS_PER_COMMAND = 6
 NAMED_ARGVS = (
-    [argv for argv, _, _ in REJECTED_INPUTS]
-    + [argv for argv, _, _ in USAGE_ERRORS]
-    + [" ".join(param.values[0]) for param in PAST_STR_TO_INT_LIMIT]
-    + [f"uhf k0 --desc sizes={P40_PRODUCT}",  # Pollard rho
-       "gamma density --p 3 --q 3 --prec 20 --target 1/2 --epsilon 1e-5000",  # precision error
-       "padic arith --op invert --p 2 --prec 4 --x 9",
-       "padic arith --op invert --p 2 --prec 4 --x 0"]  # names the valuation sentinel
+    [param.values[0] for table in (ACCEPTED_INPUTS, REJECTED_INPUTS, USAGE_ERRORS)
+     for param in table]
+    + [param.values[0] for param in SLOW_INPUTS if param.id == "k0-sizes-40-bit-product"]
 )
 
 
