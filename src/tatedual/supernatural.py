@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import DomainError, InputError, printable
 from .numutil import check_provable_prime, factorize, split_power
@@ -106,11 +105,11 @@ def k0_of(m: UHFDescriptor) -> SupernaturalNumber:
 
 
 def qn_contains(n: SupernaturalNumber, r) -> bool:
-    """Membership of a rational in Q(n): every prime power in the reduced
-    denominator must be within n's exponent for that prime.  Each prime of
-    n is split off the denominator and what is left must be 1, so nothing
-    is factorized."""
-    rest = Fraction(r).denominator
+    """Membership of a rational r, an int or a Fraction, in Q(n): every
+    prime power in the reduced denominator must be within n's exponent for
+    that prime.  Each prime of n is split off the denominator and what is
+    left must be 1, so nothing is factorized."""
+    rest = r.denominator
     for p, e in n.exponents.items():
         k, rest = split_power(rest, p)
         if k > e:

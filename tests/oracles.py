@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from tatedual import cli
 from tatedual.duality import CircleElement
-from tatedual.gamma import CyclicSubgroupQ, PruferElement, prufer_image
+from tatedual.gamma import CyclicSubgroupQ, PruferElement
 from tatedual.padic import CanonicalSequence, PAdicInt
 from tatedual.supernatural import UHFDescriptor
 
@@ -77,16 +77,6 @@ def contains(g: CyclicSubgroupQ, r) -> bool:
 
 def _fraction(g: PruferElement) -> Fraction:
     return Fraction(g.numerator, g.p ** g.level)
-
-
-def prufer_add(a: PruferElement, b: PruferElement) -> PruferElement:
-    """The group law of the p-power torsion of Q/Z, through Q."""
-    return prufer_image(_fraction(a) + _fraction(b), a.p)
-
-
-def circle_add(x: CircleElement, y: CircleElement) -> CircleElement:
-    """The group law of R/Z on rational points."""
-    return CircleElement((x.value + y.value) % 1)
 
 
 def rand_prufer(rng, p: int, max_level: int) -> PruferElement:

