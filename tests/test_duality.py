@@ -126,24 +126,23 @@ def test_lane_width_is_k_plus_2():
         13, 13, 14, 15, 15]
 
 
-def test_packed_row_is_z_times_c_mod_m_in_every_lane():
-    """For each m of LANE_MODULI the walk gives m rows, and each row z
-    checked (all of them up to m = 256) equals the int packed from the lanes
-    z*c mod m, so it holds nothing past lane m-1 either; z = m-1 comes after
-    m-1 z-steps."""
-    for m in LANE_MODULI:
-        lanes = duality._Lanes(m)
-        assert unpack(lanes.counting, lanes) == list(range(m))
-        rng = random.Random(m)
-        zs = range(m) if m <= 256 else {0, 1, m - 1, m // 2} | {rng.randrange(m) for _ in range(3)}
-        lane_bits = [f"{v:0{lanes.width}b}" for v in range(m)]
-        count = 0
-        for z, row in enumerate(lanes.rows()):
-            count += 1
-            if z in zs:
-                expected = int("".join([lane_bits[z * c % m] for c in reversed(range(m))]), 2)
-                assert row == expected, f"row {z} at m = {m}"
-        assert count == m, m
+@pytest.mark.parametrize("m", LANE_MODULI)
+def test_packed_row_is_z_times_c_mod_m_in_every_lane(m):
+    """The walk gives m rows, and each row z checked (all of them up to
+    m = 256) equals the int packed from the lanes z*c mod m, so it holds
+    nothing past lane m-1 either; z = m-1 comes after m-1 z-steps."""
+    lanes = duality._Lanes(m)
+    assert unpack(lanes.counting, lanes) == list(range(m))
+    rng = random.Random(m)
+    zs = range(m) if m <= 256 else {0, 1, m - 1, m // 2} | {rng.randrange(m) for _ in range(3)}
+    lane_bits = [f"{v:0{lanes.width}b}" for v in range(m)]
+    count = 0
+    for z, row in enumerate(lanes.rows()):
+        count += 1
+        if z in zs:
+            expected = int("".join([lane_bits[z * c % m] for c in reversed(range(m))]), 2)
+            assert row == expected, f"row {z}"
+    assert count == m
 
 
 # levels 0-3 at p = 2, 3 and 5, a few more small moduli, and the prime powers
