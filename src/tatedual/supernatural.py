@@ -105,11 +105,13 @@ def k0_of(m: UHFDescriptor) -> SupernaturalNumber:
 
 
 def qn_contains(n: SupernaturalNumber, r) -> bool:
-    """Membership of a rational r, an int or a Fraction, in Q(n): every
-    prime power in the reduced denominator must be within n's exponent for
-    that prime.  Each prime of n is split off the denominator and what is
-    left must be 1, so nothing is factorized."""
-    rest = r.denominator
+    """Membership of a rational in Q(n): every prime power in the reduced
+    denominator must be within n's exponent for that prime.  Each prime of
+    n is split off the denominator and what is left must be 1, so nothing
+    is factorized."""
+    from fractions import Fraction  # here, so `uhf k0` and `stable-iso` load no fractions
+
+    rest = Fraction(r).denominator
     for p, e in n.exponents.items():
         k, rest = split_power(rest, p)
         if k > e:

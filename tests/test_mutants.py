@@ -1,9 +1,7 @@
 """The mutant runner's generation step (tests/tools/mutants.py), without
 running any mutant: generation is deterministic, ids are unique, and every
-mutant compiles, differs from its source and replaces the source it was
-made from."""
+mutant compiles to code that differs from its module's."""
 
-import ast
 import runpy
 import types
 from pathlib import Path
@@ -15,20 +13,13 @@ mutants = types.SimpleNamespace(**runpy.run_path(str(RUNNER)))
 
 
 def test_mutants_are_deterministic_unique_and_compile():
-    made = list(mutants.mutants(SRC))
-    assert made == list(mutants.mutants(SRC))
-    ids = [ident for ident, *_ in made]
+    source = {name: compile(mutants._module(SRC, name), name, "exec")
+              for name in mutants.MODULES}
+    made = []
+    for ident, name, line, tree in mutants.mutants(SRC):
+        assert compile(tree, name, "exec") != source[name], ident
+        made.append((ident, line))
+    assert made == [(ident, line) for ident, _, line, _ in mutants.mutants(SRC)]
+    ids = [ident for ident, _ in made]
     assert len(set(ids)) == len(ids)
     assert {ident.partition(":")[0] for ident in ids} == set(mutants.MODULES)
-    source = {name: (SRC / "tatedual" / f"{name}.py").read_text().encode()
-              for name in mutants.MODULES}
-    for ident, name, (line, column, end_line, end_column), original, mutated in made:
-        assert mutated != original, ident
-        compile(f"def _():\n    {mutated}\n", ident, "exec")
-        # the span holds the very code the original text unparses
-        lines = source[name].splitlines()[line - 1:end_line]
-        lines[-1] = lines[-1][:end_column]  # first, as the columns count from line starts
-        lines[0] = lines[0][column:]
-        text = b"\n".join(lines).decode()
-        form = "({})" if original.startswith("(") else "{}"
-        assert ast.dump(ast.parse(form.format(text))) == ast.dump(ast.parse(original)), ident

@@ -1,6 +1,6 @@
 """Operator and constant mutants of the package, each run against one tests directory.
 
-    python tests/tools/mutants.py TESTS_DIR [--jobs N]
+    python tests/tools/mutants.py TESTS_DIR
 
 Each site in a function or method of MODULES gives one mutant: a comparison
 moved to its neighbour (< to <=, == to !=, ...), an arithmetic or bitwise
@@ -8,20 +8,24 @@ operator swapped (+ to -, * to +, ...), `and` and `or` swapped, a `not`
 doubled (so dropped), an int raised by one or a bool flipped; annotations
 and module-level code are left alone.  Its id is module:qualified
 name:operator:ordinal, the ordinal counting that operator in that function.
+The mutated module is written whole by `ast.unparse`, and so is every
+unmutated one, so comments and layout go; no test reads them.
 
 Each mutant runs in a copy of SRC and TESTS_DIR in a temporary directory,
 never in the checkout, under one `python -m pytest -x` over the test files
-but SKIPPED.  A run that uses up CPU_SECONDS of CPU time times out; any
-other nonzero exit kills the mutant.  The unmutated copy must pass first.
-Stdout has one verdict per mutant, then the counts.
+but SKIPPED, JOBS mutants at a time.  A run that uses up CPU_SECONDS of CPU
+time times out; any other nonzero exit kills the mutant.  The unmutated
+copy must pass first.  Stdout has one verdict per mutant, then the counts.
 
 Two runs on one tree give the same verdicts: Hypothesis runs with
 derandomize=True (each test's seed is a hash of the test), database=None
 (no example found for one mutant replays for another), no shrinking and no
 timing-based health checks; PYTHONHASHSEED is 0, and no bytecode is
 written, so each rewritten module is compiled afresh.  The limit is on CPU
-time, not wall time, so a busy host or more jobs turn no kill into a
-timeout; only the suite's own time budgets still read the wall clock.
+time, not wall time, so a busy host turns no kill into a timeout; only the
+suite's own time budgets still read the wall clock, which is why the number
+of jobs is fixed rather than an option: runs that load the host alike are
+comparable.
 
 A change to the tests keeps the kill set when this gives the same verdicts
 with the old TESTS_DIR (`git archive <base> tests | tar -x -C <dir>`) as
@@ -51,6 +55,7 @@ SKIPPED = ("test_mutants.py", "test_readme.py", "test_reach.py", "test_records.p
 # most mutants fail early
 FIRST = ("test_output_digests.py", "test_acceptance.py")
 CPU_SECONDS = 60  # over twice what the unmutated suite takes
+JOBS = 2
 SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq,
          ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.In: ast.NotIn,
          ast.NotIn: ast.In, ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add,
@@ -75,22 +80,11 @@ settings.load_profile("mutants")
 
 class _Sites(ast.NodeVisitor):
     """Every site inside a function, in source order, as (qualified name,
-    operator, unit, holder, key, new): the mutant puts new at holder[key]
-    (a list) or holder.key.  The unit is the source rewritten around the
-    site: its simple statement, or the expression it sits in within a
-    compound statement's header or a def's defaults."""
+    operator, line, holder, key, new): the mutant puts new at holder[key]
+    (a list) or holder.key."""
 
     def __init__(self):
-        self.scope, self.depth, self.unit, self.found = [], 0, None, []
-
-    def visit(self, node):
-        outer = self.unit
-        if isinstance(node, ast.stmt):
-            self.unit = None if hasattr(node, "body") else node
-        elif self.unit is None and isinstance(node, ast.expr):
-            self.unit = node
-        super().visit(node)
-        self.unit = outer
+        self.scope, self.depth, self.found = [], 0, []
 
     def visit_ClassDef(self, node):
         self.scope.append(node.name)
@@ -117,17 +111,18 @@ class _Sites(ast.NodeVisitor):
         for holder, key, op in slots:
             if type(op) in SWAPS:
                 new = SWAPS[type(op)]
-                self.site(f"{type(op).__name__}>{new.__name__}", holder, key, new())
+                self.site(node, f"{type(op).__name__}>{new.__name__}", holder, key, new())
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
-            self.site("Not>NotNot", node, "operand", ast.UnaryOp(ast.Not(), node.operand))
+            double = ast.copy_location(ast.UnaryOp(ast.Not(), node.operand), node)
+            self.site(node, "Not>NotNot", node, "operand", double)
         if isinstance(node, ast.Constant) and type(node.value) in (bool, int):
             new = not node.value if type(node.value) is bool else node.value + 1
-            self.site(f"{node.value!r}>{new!r}", node, "value", new)
+            self.site(node, f"{node.value!r}>{new!r}", node, "value", new)
         super().generic_visit(node)
 
-    def site(self, label, holder, key, new):
+    def site(self, node, label, holder, key, new):
         if self.depth:
-            self.found.append((".".join(self.scope), label, self.unit, holder, key, new))
+            self.found.append((".".join(self.scope), label, node.lineno, holder, key, new))
 
 
 def _put(holder, key, value):
@@ -140,32 +135,23 @@ def _put(holder, key, value):
     return old
 
 
+def _module(src, name):
+    return ast.parse((Path(src) / "tatedual" / f"{name}.py").read_text())
+
+
 def mutants(src):
-    """Yield (id, module, span, original, mutated) for every site of MODULES
-    under src: the source of the site's unit before and after the mutation,
-    and where the unit stands, for `splice`."""
+    """Yield (id, module, line, tree) for every site of MODULES under src:
+    tree is the whole module with that one site mutated, until the next
+    item is asked for."""
     for name in MODULES:
-        sites = _Sites()
-        sites.visit(ast.parse((Path(src) / "tatedual" / f"{name}.py").read_text()))
-        seen = Counter()
-        for qualified, label, unit, holder, key, new in sites.found:
+        tree, sites, seen = _module(src, name), _Sites(), Counter()
+        sites.visit(tree)
+        for qualified, label, line, holder, key, new in sites.found:
             ident = f"{name}:{qualified}:{label}:{seen[qualified, label]}"
             seen[qualified, label] += 1
-            form = "({})" if isinstance(unit, ast.expr) else "{}"
-            original = form.format(ast.unparse(unit))
             old = _put(holder, key, new)
-            span = unit.lineno, unit.col_offset, unit.end_lineno, unit.end_col_offset
-            yield ident, name, span, original, form.format(ast.unparse(unit))
+            yield ident, name, line, tree
             _put(holder, key, old)
-
-
-def splice(text, span, new):
-    """text with span (line, column, end line, end column, the columns in
-    UTF-8 bytes as the ast counts them) replaced by new."""
-    first, column, last, end = span
-    lines = text.encode().splitlines(keepends=True)
-    return b"".join(lines[:first - 1] + [lines[first - 1][:column], new.encode(),
-                                         lines[last - 1][end:]] + lines[last:]).decode()
 
 
 def _verdict(command, root):
@@ -185,29 +171,30 @@ def _verdict(command, root):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     parser.add_argument("tests", type=Path)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
     start = time.monotonic()
     rest = sorted({f.name for f in args.tests.glob("test_*.py")} - set(SKIPPED) - set(FIRST))
     command = [sys.executable, "-m", "pytest", "-x", "-q", "--tb=no", "-p", "no:cacheprovider",
                "-p", "mutants_profile", *(f"tests/{f}" for f in FIRST + tuple(rest))]
-    roots = [Path(tempfile.mkdtemp(prefix="mutants-")) for _ in range(args.jobs)]
+    roots = [Path(tempfile.mkdtemp(prefix="mutants-")) for _ in range(JOBS)]
     copies = queue.Queue()  # the roots no job is using
     for root in roots:
         ignore = shutil.ignore_patterns("__pycache__")
         shutil.copytree(SRC / "tatedual", root / "src" / "tatedual", ignore=ignore)
         shutil.copytree(args.tests, root / "tests", ignore=ignore)
+        for name in MODULES:  # unmutated modules unparsed too, as the mutated ones are
+            (root / "src" / "tatedual" / f"{name}.py").write_text(ast.unparse(_module(SRC, name)))
         (root / "mutants_profile.py").write_text(PROFILE)
         copies.put(root)
 
     def run(case):
-        ident, name, span, _, mutated = case
+        ident, name, line, mutated = case
         root = copies.get()
         path = root / "src" / "tatedual" / f"{name}.py"
         text = path.read_text()
-        path.write_text(splice(text, span, mutated))
+        path.write_text(mutated)
         try:
-            return _verdict(command, root), ident, span[0]
+            return _verdict(command, root), ident, line
         finally:
             path.write_text(text)
             copies.put(root)
@@ -216,8 +203,10 @@ def main(argv=None):
         if _verdict(command, roots[0]) != "survived":
             sys.exit(f"the unmutated tree fails: {' '.join(command)}")
         counts = Counter()
-        with ThreadPoolExecutor(args.jobs) as pool:
-            for verdict, ident, line in pool.map(run, mutants(SRC)):
+        with ThreadPoolExecutor(JOBS) as pool:
+            cases = ((ident, name, line, ast.unparse(tree))
+                     for ident, name, line, tree in mutants(SRC))
+            for verdict, ident, line in pool.map(run, cases):
                 counts[verdict] += 1
                 print(verdict, ident, f"(line {line})", flush=True)
     finally:
