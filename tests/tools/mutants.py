@@ -22,10 +22,10 @@ derandomize=True (each test's seed is a hash of the test), database=None
 (no example found for one mutant replays for another), no shrinking and no
 timing-based health checks; PYTHONHASHSEED is 0, and no bytecode is
 written, so each rewritten module is compiled afresh.  The limit is on CPU
-time, not wall time, so a busy host turns no kill into a timeout; only the
-suite's own time budgets still read the wall clock, which is why the number
-of jobs is fixed rather than an option: runs that load the host alike are
-comparable.
+time, not wall time, so a busy host turns no kill into a timeout.  Only
+the suite's own time budgets still read the wall clock, so the number of
+jobs is fixed, to load the host alike on every run; a mutant that slows a
+command to near a budget can still flip between killed and not.
 
 A change to the tests keeps the kill set when this gives the same verdicts
 with the old TESTS_DIR (`git archive <base> tests | tar -x -C <dir>`) as
